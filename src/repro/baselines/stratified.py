@@ -10,7 +10,6 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 
 from ..core.synopsis import PassSynopsis
-from ..core.variance import LAMBDA_99
 
 
 def build_stratified(
@@ -21,7 +20,6 @@ def build_stratified(
     n_strata: int,
     sample_total: int,
     m_opt: int = 1024,
-    lam: float = LAMBDA_99,
     seed: int = 0,
 ) -> PassSynopsis:
     """Equal-depth strata over ``pred_col`` with K/B samples each."""
@@ -34,7 +32,6 @@ def build_stratified(
         partitioner="eq",
         m_opt=m_opt,
         alloc="equal",
-        lam=lam,
         seed=seed,
     )
     syn.use_aggregates = False

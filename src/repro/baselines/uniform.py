@@ -9,6 +9,7 @@ from pyspark.sql import DataFrame
 from ..core import spark_build
 from ..core.query import Query
 from ..core.synopsis import AqpResult
+from ..core.tree import synopsis_bytes
 from ..core.variance import LAMBDA_99, stratum_estimate
 
 
@@ -23,7 +24,6 @@ class UniformSampling:
         value_col: str,
         n_total: float,
         *,
-        lam: float = LAMBDA_99,
         build_seconds: float = 0.0,
     ) -> None:
         self.x = x
@@ -31,7 +31,6 @@ class UniformSampling:
         self.pred_cols = list(pred_cols)
         self.value_col = value_col
         self.n_total = float(n_total)
-        self.lam = lam
         self.build_seconds = build_seconds
 
     @classmethod
@@ -42,7 +41,6 @@ class UniformSampling:
         value_col: str,
         *,
         k: int,
-        lam: float = LAMBDA_99,
         seed: int = 0,
     ) -> "UniformSampling":
         t0 = time.perf_counter()
@@ -54,23 +52,15 @@ class UniformSampling:
             pred_cols,
             value_col,
             n_total,
-            lam=lam,
             build_seconds=time.perf_counter() - t0,
         )
 
-    def _mask(self, q: Query) -> np.ndarray:
-        m = np.ones(len(self.v), dtype=bool)
-        for c, lo, hi in zip(q.cols, q.lo, q.hi):
-            j = self.pred_cols.index(c)
-            m &= (self.x[:, j] >= lo) & (self.x[:, j] <= hi)
-        return m
-
     def answer(self, q: Query) -> AqpResult:
-        m = self._mask(q)
+        m = q.sample_mask(self.x, self.pred_cols)
         k = len(self.v)
         if q.agg in ("sum", "count", "avg"):
             est, var, _ = stratum_estimate(q.agg, self.v, m, self.n_total)
-            return AqpResult(est, self.lam * float(np.sqrt(var)), processed=k)
+            return AqpResult(est, LAMBDA_99 * float(np.sqrt(var)), processed=k)
         if not m.any():
             return AqpResult(float("nan"), float("nan"), processed=k)
         est = float(self.v[m].min() if q.agg == "min" else self.v[m].max())
@@ -82,4 +72,5 @@ class UniformSampling:
 
     @property
     def storage_bytes(self) -> int:
-        return len(self.v) * (len(self.pred_cols) + 1) * 8
+        d = len(self.pred_cols)
+        return synopsis_bytes(0, d, len(self.v), d + 1)

@@ -16,7 +16,6 @@ import time
 
 from pyspark.sql import DataFrame
 
-from ..core.variance import LAMBDA_99
 from .uniform import UniformSampling
 
 
@@ -26,13 +25,12 @@ def build_verdictdb(
     value_col: str,
     *,
     ratio: float,
-    lam: float = LAMBDA_99,
     seed: int = 0,
 ) -> UniformSampling:
     """Scramble at sampling ``ratio`` ∈ (0, 1]."""
     t0 = time.perf_counter()
     n_total = df.count()
     k = max(1, int(round(ratio * n_total)))
-    syn = UniformSampling.build(df, pred_cols, value_col, k=k, lam=lam, seed=seed)
+    syn = UniformSampling.build(df, pred_cols, value_col, k=k, seed=seed)
     syn.build_seconds = time.perf_counter() - t0
     return syn

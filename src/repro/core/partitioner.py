@@ -243,9 +243,3 @@ class ADP:
         cuts.append(0)
         cuts = sorted(set(cuts))
         return cuts, self.A[self.m][k]
-
-
-def adp_cuts(a: np.ndarray, k: int, agg: str = "sum", delta: float = 0.01) -> tuple[list[int], float]:
-    """One-shot convenience wrapper around :class:`ADP`."""
-    opt = ADP(a, k, agg=agg, delta=delta)
-    return opt.cuts(k)

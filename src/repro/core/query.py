@@ -44,6 +44,33 @@ class Query:
             m &= (v >= lo) & (v <= hi)
         return m
 
+    def box(self, cols: list[str]) -> tuple[np.ndarray, np.ndarray, bool]:
+        """Query rectangle over ``cols`` (±inf for unconstrained columns)
+        and whether the query also constrains a column outside ``cols``
+        (workload shift, §5.4.1)."""
+        lo = np.full(len(cols), -np.inf)
+        hi = np.full(len(cols), np.inf)
+        external = False
+        for c, l, h in zip(self.cols, self.lo, self.hi):
+            if c in cols:
+                j = cols.index(c)
+                lo[j], hi[j] = l, h
+            else:
+                external = True
+        return lo, hi, external
+
+    def sample_mask(self, x: np.ndarray, cols: list[str]) -> np.ndarray:
+        """Boolean match vector over the rows of a sample matrix ``x``
+        whose columns are ``cols``; a query column not among ``cols``
+        raises :class:`KeyError`."""
+        m = np.ones(len(x), dtype=bool)
+        for c, lo, hi in zip(self.cols, self.lo, self.hi):
+            if c not in cols:
+                raise KeyError(f"query column {c!r} not in sample columns {cols}")
+            j = cols.index(c)
+            m &= (x[:, j] >= lo) & (x[:, j] <= hi)
+        return m
+
     def truth(self, pdf: pd.DataFrame, value_col: str) -> float:
         """Exact answer over the full data (ground truth for the harness)."""
         v = pdf[value_col].to_numpy()[self.mask(pdf)]

@@ -12,7 +12,7 @@ Two builders:
   partitioning from the ADP dynamic program (or equal-depth for the EQ
   ablation), balanced bottom-up tree of a fixed fanout;
 * :meth:`PassSynopsis.build_kd` — multi-dimensional KD-PASS (§4.4) with
-  max-variance leaf expansion (or the KD-US 'us' policy for baselines).
+  max-variance leaf expansion.
 
 Workload shift (§5.4.1) is supported: a query may constrain columns the
 synopsis was not built on; those constraints disable exact coverage (all
@@ -31,7 +31,7 @@ from . import spark_build
 from .kdtree import KDNode, KDTree
 from .partitioner import ADP, assign_partitions, cuts_to_boundaries, equal_depth_cuts
 from .query import Query
-from .tree import Node, build_tree, mcf, merge_nodes
+from .tree import Node, build_tree, mcf, merge_nodes, synopsis_bytes
 from .variance import LAMBDA_99, PartStats, hard_bounds, stratum_estimate
 
 
@@ -61,8 +61,6 @@ class PassSynopsis:
         n_total: float,
         sample_cols: list[str] | None = None,
         *,
-        lam: float = LAMBDA_99,
-        weight_mode: str = "est",
         build_seconds: float = 0.0,
         use_aggregates: bool = True,
         assign=None,
@@ -86,8 +84,6 @@ class PassSynopsis:
         self.sample_cols = list(sample_cols) if sample_cols is not None else list(pred_cols)
         self.value_col = value_col
         self.n_total = float(n_total)
-        self.lam = lam
-        self.weight_mode = weight_mode
         self.build_seconds = build_seconds
 
     # -- construction ---------------------------------------------------
@@ -102,13 +98,9 @@ class PassSynopsis:
         k_partitions: int,
         sample_total: int,
         partitioner: str = "adp",
-        opt_agg: str = "sum",
         m_opt: int = 1024,
-        delta: float = 0.01,
         alloc: str = "equal",
         fanout: int = 2,
-        lam: float = LAMBDA_99,
-        weight_mode: str = "est",
         sample_cols: list[str] | None = None,
         boundaries: np.ndarray | None = None,
         seed: int = 0,
@@ -122,7 +114,7 @@ class PassSynopsis:
             a = opt[value_col].to_numpy(dtype=np.float64)
             c = opt[pred_col].to_numpy(dtype=np.float64)
             if partitioner == "adp":
-                cuts, _ = ADP(a, k_partitions, agg=opt_agg, delta=delta).cuts(k_partitions)
+                cuts, _ = ADP(a, k_partitions).cuts(k_partitions)
             elif partitioner == "eq":
                 cuts = equal_depth_cuts(len(a), k_partitions)
             else:
@@ -132,7 +124,7 @@ class PassSynopsis:
         b = np.asarray(boundaries, dtype=np.float64)
         return cls._finish(
             df_leaf, [pred_col], value_col, len(boundaries) + 1, None, sample_total,
-            alloc, fanout, lam, weight_mode, sample_cols, seed, n_total, t0,
+            alloc, fanout, sample_cols, seed, n_total, t0,
             assign=lambda x: assign_partitions(np.asarray(x, float)[:, 0], b),
         )
 
@@ -145,14 +137,8 @@ class PassSynopsis:
         *,
         k_leaves: int,
         sample_total: int,
-        policy: str = "pass",
-        opt_agg: str = "sum",
         m_opt: int = 2048,
-        delta: float = 0.01,
         alloc: str = "equal",
-        balance_limit: int = 2,
-        lam: float = LAMBDA_99,
-        weight_mode: str = "est",
         sample_cols: list[str] | None = None,
         seed: int = 0,
     ) -> "PassSynopsis":
@@ -161,22 +147,18 @@ class PassSynopsis:
         opt = spark_build.optimization_sample(df, value_col, pred_cols, m_opt, n_total, seed=seed)
         x = opt[pred_cols].to_numpy(dtype=np.float64)
         a = opt[value_col].to_numpy(dtype=np.float64)
-        kd = KDTree(
-            x, a, k_leaves, policy=policy, agg=opt_agg, delta=delta,
-            balance_limit=balance_limit, seed=seed,
-        )
+        kd = KDTree(x, a, k_leaves, seed=seed)
         df_leaf = spark_build.with_leaf_fn(df, pred_cols, kd.assign)
         return cls._finish(
             df_leaf, pred_cols, value_col, kd.n_leaves, kd, sample_total,
-            alloc, 2, lam, weight_mode, sample_cols, seed, n_total, t0,
+            alloc, 2, sample_cols, seed, n_total, t0,
             assign=kd.assign,
         )
 
     @classmethod
     def _finish(
         cls, df_leaf, pred_cols, value_col, n_leaves, kd, sample_total,
-        alloc, fanout, lam, weight_mode, sample_cols, seed, n_total, t0,
-        assign=None,
+        alloc, fanout, sample_cols, seed, n_total, t0, assign,
     ) -> "PassSynopsis":
         agg_pdf = spark_build.leaf_aggregates(df_leaf, value_col, pred_cols)
         leaf_nodes = spark_build.leaves_from_aggregates(agg_pdf, pred_cols, n_leaves)
@@ -200,42 +182,14 @@ class PassSynopsis:
             )
         return cls(
             root, leaf_nodes, samples, pred_cols, value_col, n_total,
-            sample_cols=sample_cols, lam=lam, weight_mode=weight_mode,
+            sample_cols=sample_cols,
             build_seconds=time.perf_counter() - t0, assign=assign,
         )
 
     # -- query processing ------------------------------------------------
 
-    def _query_box(self, q: Query) -> tuple[np.ndarray, np.ndarray, bool]:
-        """Query rectangle over the synopsis dimensions (±inf for
-        unconstrained dims) and whether the query constrains columns the
-        synopsis does not index (workload shift)."""
-        d = len(self.pred_cols)
-        lo = np.full(d, -np.inf)
-        hi = np.full(d, np.inf)
-        external = False
-        for c, l, h in zip(q.cols, q.lo, q.hi):
-            if c in self.pred_cols:
-                j = self.pred_cols.index(c)
-                lo[j], hi[j] = l, h
-            else:
-                external = True
-        return lo, hi, external
-
-    def _sample_mask(self, q: Query, leaf_id: int) -> tuple[np.ndarray, np.ndarray]:
-        x, v = self.samples.get(leaf_id, (np.empty((0, len(self.sample_cols))), np.empty(0)))
-        m = np.ones(len(v), dtype=bool)
-        for c, l, h in zip(q.cols, q.lo, q.hi):
-            if c not in self.sample_cols:
-                raise KeyError(
-                    f"query column {c!r} not in synopsis sample columns {self.sample_cols}"
-                )
-            j = self.sample_cols.index(c)
-            m &= (x[:, j] >= l) & (x[:, j] <= h)
-        return v, m
-
     def answer(self, q: Query) -> AqpResult:
-        lo, hi, external = self._query_box(q)
+        lo, hi, external = q.box(self.pred_cols)
         demote = external or not self.use_aggregates
         covered, partial = mcf(
             self.root, lo, hi, zero_var_as_covered=(q.agg == "avg" and not demote)
@@ -253,13 +207,18 @@ class PassSynopsis:
         lb, ub = hard_bounds(q.agg, cov_stats, par_stats) if not demote else (float("nan"),) * 2
         n_partial = sum(n.stats.count for n in partial)
         skipped = 1.0 - n_partial / self.n_total if self.n_total else 0.0
-        processed = sum(len(self.samples.get(n.leaf_id, ((), ()))[1]) for n in partial)
+        # One (leaf, sampled values, predicate matches) stratum per partial leaf.
+        no_sample = (np.empty((0, len(self.sample_cols))), np.empty(0))
+        strata = []
+        for n in partial:
+            x, v = self.samples.get(n.leaf_id, no_sample)
+            strata.append((n, v, q.sample_mask(x, self.sample_cols)))
+        processed = sum(v.size for _, v, _ in strata)
 
         if q.agg in ("sum", "count"):
             est = sum(getattr(s, q.agg) for s in cov_stats)
             var = 0.0
-            for n in partial:
-                v, m = self._sample_mask(q, n.leaf_id)
+            for n, v, m in strata:
                 if v.size == 0:
                     # No sample in this stratum: fall back to the hard-bound
                     # midpoint with the bound half-width as the deviation.
@@ -270,7 +229,7 @@ class PassSynopsis:
                 e, vr, _ = stratum_estimate(q.agg, v, m, n.stats.count)
                 est += e
                 var += vr
-            return AqpResult(est, self.lam * float(np.sqrt(var)), lb, ub, processed, skipped)
+            return AqpResult(est, LAMBDA_99 * float(np.sqrt(var)), lb, ub, processed, skipped)
 
         if q.agg == "avg":
             means, variances, weights = [], [], []
@@ -279,8 +238,7 @@ class PassSynopsis:
                     means.append(s.avg)
                     variances.append(0.0)
                     weights.append(s.count)
-            for n in partial:
-                v, m = self._sample_mask(q, n.leaf_id)
+            for n, v, m in strata:
                 if v.size == 0:
                     continue
                 e, vr, k_pred = stratum_estimate("avg", v, m, n.stats.count)
@@ -288,24 +246,22 @@ class PassSynopsis:
                     continue
                 means.append(e)
                 variances.append(vr)
-                if self.weight_mode == "est":
-                    weights.append(n.stats.count * k_pred / v.size)
-                else:  # verbatim paper weights: full partition size
-                    weights.append(n.stats.count)
+                # Estimated matching count N_i·k_pred/K_i, not the full
+                # partition size (DESIGN.md §5).
+                weights.append(n.stats.count * k_pred / v.size)
             if not weights:
                 return AqpResult(float("nan"), float("nan"), lb, ub, processed, skipped)
             w = np.asarray(weights) / sum(weights)
             est = float(np.dot(w, means))
             var = float(np.dot(w * w, variances))
-            return AqpResult(est, self.lam * float(np.sqrt(var)), lb, ub, processed, skipped)
+            return AqpResult(est, LAMBDA_99 * float(np.sqrt(var)), lb, ub, processed, skipped)
 
         # MIN / MAX: exact over covered nodes, sampled over partial leaves;
         # the deterministic bounds are the uncertainty quantification.
         cand = []
         for s in cov_stats:
             cand.append(s.min if q.agg == "min" else s.max)
-        for n in partial:
-            v, m = self._sample_mask(q, n.leaf_id)
+        for _, v, m in strata:
             if m.any():
                 cand.append(float(v[m].min() if q.agg == "min" else v[m].max()))
         if not cand:
@@ -398,19 +354,18 @@ class PassSynopsis:
 
     @property
     def storage_bytes(self) -> int:
-        d = len(self.pred_cols)
-        sample_bytes = self.n_samples * (len(self.sample_cols) + 1) * 8
-        if self.use_aggregates:
-            return self.root.n_nodes * (4 + 2 * d) * 8 + sample_bytes
-        # ST: no tree — only per-stratum sizes and the samples.
-        return len(self.leaves) * (4 + 2 * d) * 8 + sample_bytes
+        # ST keeps no tree — only per-stratum sizes and the samples.
+        n_nodes = self.root.n_nodes if self.use_aggregates else len(self.leaves)
+        return synopsis_bytes(
+            n_nodes, len(self.pred_cols), self.n_samples, len(self.sample_cols) + 1
+        )
 
     def mean_partial_fraction(self, queries: list[Query]) -> float:
         """Average fraction of tuples in partially-overlapped leaves over a
         workload — the ESS calibration quantity (§5.1.4)."""
         fracs = []
         for q in queries:
-            lo, hi, _ = self._query_box(q)
+            lo, hi, _ = q.box(self.pred_cols)
             _, partial = mcf(self.root, lo, hi)
             fracs.append(sum(n.stats.count for n in partial) / self.n_total)
         return float(np.mean(fracs)) if fracs else 0.0

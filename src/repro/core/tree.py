@@ -127,10 +127,9 @@ def mcf(
     return covered, partial
 
 
-def synopsis_bytes(root: Node, n_samples: int, d: int) -> int:
-    """Storage accounting: every node stores 4 aggregate stats + 2d
-    predicate extents (8 bytes each); every sampled row stores d predicate
-    values + 1 aggregate value."""
-    per_node = (4 + 2 * d) * 8
-    per_row = (d + 1) * 8
-    return root.n_nodes * per_node + n_samples * per_row
+def synopsis_bytes(n_nodes: int, d: int, n_rows: int, row_width: int) -> int:
+    """Storage accounting shared by every approach: each of ``n_nodes``
+    partitions stores 4 aggregate stats + 2d predicate extents, each of
+    ``n_rows`` sampled rows stores ``row_width`` values; 8 bytes a value.
+    Storage is accounted uncompressed (no §3.4 delta coding)."""
+    return (n_nodes * (4 + 2 * d) + n_rows * row_width) * 8

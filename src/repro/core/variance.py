@@ -44,7 +44,8 @@ def stratum_estimate(
         ``(estimate, variance_of_estimator, k_pred)`` where the variance is
         ``var(φ(S_i))/K_i`` times the FPC (Equations 3–4). For AVG the
         estimate is the plain mean of matching sampled values (equivalent
-        to Equation 2) and k_pred is the number of matching samples.
+        to Equation 2) and k_pred is the number of matching samples; with
+        no matching sample the estimate and its variance are both NaN.
     """
     k = int(values.size)
     if k == 0:
@@ -57,7 +58,7 @@ def stratum_estimate(
         phi = mask * values * n_stratum
     elif agg == "avg":
         if k_pred == 0:
-            return float("nan"), 0.0, 0
+            return float("nan"), float("nan"), 0
         est = float(values[mask].mean())
         phi = mask * values * (k / k_pred)
         var = float(np.var(phi, ddof=1) / k * fpc) if k > 1 else 0.0

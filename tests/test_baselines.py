@@ -8,6 +8,9 @@ from repro.baselines.stratified import build_stratified
 from repro.baselines.uniform import UniformSampling
 from repro.baselines.verdictdb_lite import build_verdictdb
 from repro.core.query import Query
+from repro.core.synopsis import PassSynopsis
+from repro.core.tree import Node
+from repro.core.variance import PartStats
 from repro.synth_data import NYC_PREDICATES
 from repro.workload import random_queries
 
@@ -71,6 +74,29 @@ def test_us_storage_accounting(us_small):
 def test_us_empty_minmax(us_small):
     res = us_small.answer(Query("min", ("time",), (1e17,), (1e18,)))
     assert np.isnan(res.est)
+
+
+def test_us_empty_avg(us_small):
+    """No matching sample: no estimate, and no claim of certainty about it."""
+    res = us_small.answer(Query("avg", ("time",), (1e17,), (1e18,)))
+    assert np.isnan(res.est) and np.isnan(res.ci_half)
+
+
+def _tiny(kind):
+    """One approach over ``c`` = 0..9, ``a`` = 1, built without Spark."""
+    x, v = np.arange(10.0)[:, None], np.ones(10)
+    leaf = Node(PartStats(10.0, 10.0, 1.0, 1.0), x.min(0), x.max(0), leaf_id=0)
+    if kind is PassSynopsis:
+        return PassSynopsis(leaf, [leaf], {0: (x, v)}, ["c"], "a", 10)
+    if kind is AggPlusUniform:
+        return AggPlusUniform([leaf], lambda z: np.zeros(len(z), np.int64), x, v, ["c"], "a", 10)
+    return UniformSampling(x, v, ["c"], "a", 10)
+
+
+@pytest.mark.parametrize("kind", [PassSynopsis, AggPlusUniform, UniformSampling])
+def test_unknown_query_column_names_it(kind):
+    with pytest.raises(KeyError, match="'zz'"):
+        _tiny(kind).answer(Query("sum", ("c", "zz"), (0.0, 0.0), (5.0, 1.0)))
 
 
 # -- stratified ----------------------------------------------------------

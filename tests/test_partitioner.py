@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.core.partitioner import (
     ADP,
-    adp_cuts,
     assign_partitions,
     cuts_to_boundaries,
     dp_exact,
@@ -84,7 +83,7 @@ def test_dp_exact_k_equals_m_zero_variance():
 @pytest.mark.parametrize("m,k", [(64, 4), (200, 8), (200, 1)])
 def test_adp_cuts_are_valid_partitioning(agg, m, k):
     a = rng.lognormal(0, 1, m)
-    cuts, v = adp_cuts(a, k, agg=agg, delta=0.05)
+    cuts, v = ADP(a, k, agg=agg, delta=0.05).cuts(k)
     assert cuts[0] == 0 and cuts[-1] == m
     assert all(b > a_ for a_, b in zip(cuts, cuts[1:]))
     assert len(cuts) <= k + 1
@@ -105,7 +104,7 @@ def test_adp_within_constant_of_exact_dp():
             )
 
         cuts_opt, _ = dp_exact(a, 4, "sum")
-        cuts_apx, _ = adp_cuts(a, 4, "sum")
+        cuts_apx, _ = ADP(a, 4, agg="sum").cuts(4)
         # Paper bound: error ratio 2√2 → variance ratio (2√2)² = 8.
         assert true_obj(cuts_apx) <= 8 * true_obj(cuts_opt) + 1e-9
 
@@ -114,7 +113,7 @@ def test_adp_adversarial_isolates_tail():
     """The paper's §5.3 story: ADP must place ~all cuts in the high-variance
     tail, with one cut landing at the zero/normal boundary."""
     a = np.concatenate([np.zeros(875), np.random.default_rng(0).normal(100, 10, 125)])
-    cuts, _ = adp_cuts(a, 8, "sum")
+    cuts, _ = ADP(a, 8, agg="sum").cuts(8)
     assert 875 in cuts
     assert sum(c >= 875 for c in cuts) >= 7
 
@@ -143,7 +142,7 @@ def test_adp_avg_requires_window():
 @given(st.lists(st.floats(0, 100), min_size=8, max_size=60), st.integers(2, 6))
 def test_adp_always_valid(vals, k):
     a = np.asarray(vals)
-    cuts, v = adp_cuts(a, k, agg="sum")
+    cuts, v = ADP(a, k, agg="sum").cuts(k)
     assert cuts[0] == 0 and cuts[-1] == len(a)
     assert v >= -1e-9
 

@@ -131,23 +131,17 @@ def test_with_leaf_fn_multidim(nyc_df, nyc_pdf):
     assert np.array_equal(got[LEAF_COL].to_numpy(), exp)
 
 
-def test_tpch_groupby_oracle(spark):
-    """Exercise the provided TPC-H-lite tables and the DuckDB oracle over
-    the shuffle path (broadcast joins are disabled by the fixture)."""
-    from repro import synth_data
-
-    li = synth_data.lineitem(spark, sf=0.002)
-    res = (
-        li.groupBy("l_returnflag")
-        .agg(
-            F.sum("l_quantity").alias("sum_qty"),
-            F.count(F.lit(1)).alias("cnt"),
-        )
-        .select(F.col("l_returnflag").alias("flag"), "sum_qty", "cnt")
+def test_tpch_groupby_oracle(nyc_df):
+    """A groupBy over the shuffle path (broadcast joins are disabled by the
+    fixture) agrees with the DuckDB oracle: per-day SUM and COUNT of
+    ``trip_distance``."""
+    res = nyc_df.groupBy("pickup_date").agg(
+        F.sum("trip_distance").alias("sum_dist"),
+        F.count(F.lit(1)).alias("cnt"),
     )
     assert_equivalent(
         res,
-        "SELECT l_returnflag AS flag, SUM(l_quantity) AS sum_qty, COUNT(*) AS cnt "
-        "FROM li GROUP BY l_returnflag",
-        li=li,
+        "SELECT pickup_date, SUM(trip_distance) AS sum_dist, COUNT(*) AS cnt "
+        "FROM nyc GROUP BY pickup_date",
+        nyc=nyc_df,
     )

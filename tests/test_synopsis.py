@@ -164,26 +164,6 @@ def test_empty_region_query(intel_synopsis):
     assert np.isnan(intel_synopsis.answer(q).est)
 
 
-def test_weight_mode_paper_vs_est(intel_df, intel_pdf):
-    syn = PassSynopsis.build_1d(
-        intel_df, "time", "light", k_partitions=8, sample_total=400, m_opt=400, seed=3
-    )
-    syn.weight_mode = "paper"
-    qs = random_queries(intel_pdf, ["time"], "avg", 20, seed=29, min_count=60)
-    errs_paper = []
-    for q in qs:
-        t = q.truth(intel_pdf, "light")
-        errs_paper.append(abs(syn.answer(q).est - t) / abs(t))
-    syn.weight_mode = "est"
-    errs_est = [
-        abs(syn.answer(q).est - q.truth(intel_pdf, "light")) / abs(q.truth(intel_pdf, "light"))
-        for q in qs
-    ]
-    # Both modes must be sane; est-weighting should not be wildly worse.
-    assert np.median(errs_paper) < 0.5
-    assert np.median(errs_est) < 0.5
-
-
 def test_eq_partitioner_build(intel_df, intel_pdf):
     syn = PassSynopsis.build_1d(
         intel_df, "time", "light", k_partitions=8, sample_total=200,

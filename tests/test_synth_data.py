@@ -80,28 +80,3 @@ def test_adversarial_structure():
     tail = pdf["a"].iloc[cut:]
     assert abs(tail.mean() - 100) < 2
     assert pdf["c"].is_unique
-
-
-@pytest.mark.parametrize("name", ["intel_wireless", "instacart", "nyc_taxi", "adversarial"])
-def test_spark_wrappers(spark, name):
-    df = getattr(synth_data, name)(spark, n=500)
-    assert df.count() == 500
-
-
-def test_provided_tpch_lite_generators(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    assert li.count() == 6000
-    assert "l_extendedprice" in li.columns
-    orders = synth_data.orders(spark, sf=0.001)
-    assert orders.count() == 1500
-
-
-def test_zipf_keys_skew(spark):
-    df = synth_data.zipf_keys(spark, n=5000, n_keys=100).toPandas()
-    counts = df["k"].value_counts()
-    assert counts.iloc[0] > 5 * counts.median()
-
-
-def test_uniform_keys_coverage(spark):
-    df = synth_data.uniform_keys(spark, n=5000, n_keys=10).toPandas()
-    assert df["k"].nunique() == 10

@@ -147,5 +147,5 @@ def test_zero_variance_property(chain_leaves):
 
 def test_synopsis_bytes_accounting(chain_leaves):
     root = build_tree(chain_leaves, fanout=2)
-    b = synopsis_bytes(root, n_samples=10, d=1)
+    b = synopsis_bytes(root.n_nodes, d=1, n_rows=10, row_width=2)
     assert b == 15 * 6 * 8 + 10 * 2 * 8

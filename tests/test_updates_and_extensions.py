@@ -1,9 +1,7 @@
-"""§4.5 dynamic updates (reservoir inserts), §3.4 delta encoding, and the
-group-by extension."""
+"""§4.5 dynamic updates (reservoir inserts) and the group-by extension."""
 import numpy as np
 import pytest
 
-from repro.core.delta import delta_bits, delta_decode, delta_encode
 from repro.core.query import Query
 from repro.core.synopsis import PassSynopsis
 from repro.synth_data import NYC_PREDICATES
@@ -86,47 +84,6 @@ def test_insert_kd(nyc_df, nyc_pdf):
     row["trip_distance"] = 9.5
     syn.insert(row)
     assert syn.root.stats.sum == pytest.approx(before + 9.5)
-
-
-# -- delta encoding ------------------------------------------------------
-
-
-def test_delta_roundtrip(syn):
-    enc = delta_encode(syn.samples, syn.leaves)
-    dec = delta_decode(enc)
-    for lid in syn.samples:
-        np.testing.assert_allclose(dec[lid][1], syn.samples[lid][1], rtol=1e-12)
-        assert dec[lid][0] is syn.samples[lid][0]
-
-
-def test_delta_values_reduce_spread(syn):
-    """The compression rationale (§3.4): within-partition deltas have less
-    spread than raw values centred on the global mean."""
-    enc = delta_encode(syn.samples, syn.leaves)
-    deltas = np.concatenate([d for _, d, _ in enc.values()])
-    raw = np.concatenate([v for _, v in syn.samples.values()])
-    assert np.std(deltas) <= np.std(raw) + 1e-9
-
-
-def test_delta_bits_smaller_for_partitioned_data():
-    """On well-partitioned data, delta coding needs fewer bits than coding
-    raw values against the global mean."""
-    from repro.core.tree import Node
-    from repro.core.variance import PartStats
-
-    rng = np.random.default_rng(0)
-    # Two regimes far apart, low within-regime spread.
-    v0 = rng.normal(10.0, 0.5, 50)
-    v1 = rng.normal(1000.0, 0.5, 50)
-    leaves = [
-        Node(PartStats(v0.sum(), 50, v0.min(), v0.max()), np.array([0.0]), np.array([1.0]), leaf_id=0),
-        Node(PartStats(v1.sum(), 50, v1.min(), v1.max()), np.array([2.0]), np.array([3.0]), leaf_id=1),
-    ]
-    samples = {0: (np.zeros((50, 1)), v0), 1: (np.zeros((50, 1)), v1)}
-    enc = delta_encode(samples, leaves)
-    global_mean = np.concatenate([v0, v1]).mean()
-    raw = {0: (np.zeros((50, 1)), v0 - global_mean, 0.0), 1: (np.zeros((50, 1)), v1 - global_mean, 0.0)}
-    assert delta_bits(enc, resolution=0.01) < delta_bits(raw, resolution=0.01)
 
 
 # -- group-by ------------------------------------------------------------

@@ -53,7 +53,7 @@ def test_empty_sample():
 def test_avg_no_match_is_nan():
     v = rng.random(10)
     est, var, k = stratum_estimate("avg", v, np.zeros(10, bool), 100)
-    assert np.isnan(est) and k == 0
+    assert np.isnan(est) and np.isnan(var) and k == 0
 
 
 def test_unsupported_agg():
