@@ -27,7 +27,7 @@ from ..core.kdtree import KDTree
 from ..core.partitioner import ADP, assign_partitions, cuts_to_boundaries, equal_depth_cuts
 from ..core.query import Query
 from ..core.synopsis import AqpResult
-from ..core.tree import Node, synopsis_bytes
+from ..core.tree import NodeStats, classify, synopsis_bytes
 from ..core.variance import LAMBDA_99, hard_bounds, stratum_estimate
 
 
@@ -70,7 +70,7 @@ class AggPlusUniform:
 
     def __init__(
         self,
-        leaves: list[Node],
+        leaves: NodeStats,
         assign: Callable[[np.ndarray], np.ndarray],
         sample_x: np.ndarray,
         sample_v: np.ndarray,
@@ -95,26 +95,23 @@ class AggPlusUniform:
     def answer(self, q: Query) -> AqpResult:
         m = q.sample_mask(self.x, self.pred_cols)
         lo, hi, _ = q.box(self.pred_cols)
-        cls = [n.classify(lo, hi) for n in self.leaves]
-        covered_ids = {n.leaf_id for n, c in zip(self.leaves, cls) if c == "covered"}
-        cov = [n.stats for n, c in zip(self.leaves, cls) if c == "covered"]
-        par = [n.stats for n, c in zip(self.leaves, cls) if c == "partial"]
-        lb, ub = hard_bounds(q.agg, cov, par)
-        cov_sum = sum(s.sum for s in cov)
-        cov_cnt = sum(s.count for s in cov)
+        overlap, in_q = classify(self.leaves, lo, hi)
+        covered, partial = np.flatnonzero(in_q), np.flatnonzero(overlap & ~in_q)
+        lb, ub = hard_bounds(q.agg, self.leaves, covered, partial)
+        cov_sum = self.leaves.sum[covered].sum()
+        cov_cnt = self.leaves.count[covered].sum()
         k = len(self.v)
-        in_cov = np.isin(self.sample_leaf, list(covered_ids)) if covered_ids else np.zeros(k, bool)
-        gap = m & ~in_cov
+        gap = m & ~in_q[self.sample_leaf]
 
         if q.agg in ("sum", "count"):
             base = cov_sum if q.agg == "sum" else cov_cnt
-            e, var, _ = stratum_estimate(q.agg, self.v, gap, self.n_total)
-            return AqpResult(base + e, LAMBDA_99 * float(np.sqrt(var)), lb, ub, processed=k)
+            (e,), (var,), _ = stratum_estimate(q.agg, self.v, gap, [k], [self.n_total])
+            return AqpResult(float(base + e), LAMBDA_99 * float(np.sqrt(var)), lb, ub, processed=k)
         if q.agg == "avg":
-            s_est, s_var, _ = stratum_estimate("sum", self.v, gap, self.n_total)
-            c_est, c_var, _ = stratum_estimate("count", self.v, gap, self.n_total)
-            tot_s = cov_sum + s_est
-            tot_c = cov_cnt + c_est
+            (s_est,), (s_var,), _ = stratum_estimate("sum", self.v, gap, [k], [self.n_total])
+            (c_est,), (c_var,), _ = stratum_estimate("count", self.v, gap, [k], [self.n_total])
+            tot_s = float(cov_sum + s_est)
+            tot_c = float(cov_cnt + c_est)
             if tot_c <= 0:
                 return AqpResult(float("nan"), float("nan"), lb, ub, processed=k)
             est = tot_s / tot_c
@@ -129,12 +126,10 @@ class AggPlusUniform:
             var = max(0.0, (s_var + est * est * c_var - 2 * est * cov_sc)) / (tot_c * tot_c)
             return AqpResult(est, LAMBDA_99 * float(np.sqrt(var)), lb, ub, processed=k)
         # MIN/MAX
-        cand = [s.min if q.agg == "min" else s.max for s in cov]
-        if m.any():
-            cand.append(float(self.v[m].min() if q.agg == "min" else self.v[m].max()))
-        if not cand:
+        cand = np.concatenate([getattr(self.leaves, q.agg)[covered], self.v[m]])
+        if not cand.size:
             return AqpResult(float("nan"), float("nan"), lb, ub, processed=k)
-        est = float(min(cand) if q.agg == "min" else max(cand))
+        est = float(cand.min() if q.agg == "min" else cand.max())
         return AqpResult(est, float("nan"), lb, ub, processed=k)
 
     @property

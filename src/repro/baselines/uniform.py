@@ -59,8 +59,8 @@ class UniformSampling:
         m = q.sample_mask(self.x, self.pred_cols)
         k = len(self.v)
         if q.agg in ("sum", "count", "avg"):
-            est, var, _ = stratum_estimate(q.agg, self.v, m, self.n_total)
-            return AqpResult(est, LAMBDA_99 * float(np.sqrt(var)), processed=k)
+            (est,), (var,), _ = stratum_estimate(q.agg, self.v, m, [k], [self.n_total])
+            return AqpResult(float(est), LAMBDA_99 * float(np.sqrt(var)), processed=k)
         if not m.any():
             return AqpResult(float("nan"), float("nan"), processed=k)
         est = float(self.v[m].min() if q.agg == "min" else self.v[m].max())

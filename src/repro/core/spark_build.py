@@ -26,8 +26,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from .tree import Node
-from .variance import PartStats
+from .tree import NodeStats
 
 LEAF_COL = "__leaf_id"
 
@@ -73,24 +72,15 @@ def leaf_aggregates(df_leaf: DataFrame, value_col: str, pred_cols: list[str]) ->
 
 def leaves_from_aggregates(
     agg_pdf: pd.DataFrame, pred_cols: list[str], n_leaves: int
-) -> list[Node]:
-    """Materialise ordered leaf Nodes (empty leaves become count-0 nodes)."""
-    by_id = {int(r[LEAF_COL]): r for _, r in agg_pdf.iterrows()}
-    d = len(pred_cols)
-    leaves = []
-    for i in range(n_leaves):
-        r = by_id.get(i)
-        if r is None:
-            stats = PartStats(0.0, 0.0, float("inf"), float("-inf"))
-            pmin = np.full(d, np.inf)
-            pmax = np.full(d, -np.inf)
-        else:
-            stats = PartStats(
-                float(r["agg_sum"]), float(r["agg_count"]), float(r["agg_min"]), float(r["agg_max"])
-            )
-            pmin = np.array([float(r[f"pmin_{c}"]) for c in pred_cols])
-            pmax = np.array([float(r[f"pmax_{c}"]) for c in pred_cols])
-        leaves.append(Node(stats, pmin, pmax, leaf_id=i))
+) -> NodeStats:
+    """Per-leaf aggregate arrays in leaf-id order; a leaf with no row is
+    empty (count 0)."""
+    leaves = NodeStats.empty(n_leaves, len(pred_cols))
+    ids = agg_pdf[LEAF_COL].to_numpy(dtype=np.int64)
+    for a in ("sum", "count", "min", "max"):
+        getattr(leaves, a)[ids] = agg_pdf[f"agg_{a}"].to_numpy(dtype=np.float64)
+    leaves.pmin[ids] = agg_pdf[[f"pmin_{c}" for c in pred_cols]].to_numpy(dtype=np.float64)
+    leaves.pmax[ids] = agg_pdf[[f"pmax_{c}" for c in pred_cols]].to_numpy(dtype=np.float64)
     return leaves
 
 

@@ -31,8 +31,8 @@ from . import spark_build
 from .kdtree import KDNode, KDTree
 from .partitioner import ADP, assign_partitions, cuts_to_boundaries, equal_depth_cuts
 from .query import Query
-from .tree import Node, build_tree, mcf, merge_nodes, synopsis_bytes
-from .variance import LAMBDA_99, PartStats, hard_bounds, stratum_estimate
+from .tree import Node, NodeStats, Tree, build_tree, mcf, synopsis_bytes
+from .variance import LAMBDA_99, hard_bounds, stratum_estimate, sum_range
 
 
 @dataclass
@@ -53,8 +53,7 @@ class PassSynopsis:
 
     def __init__(
         self,
-        root: Node,
-        leaves: list[Node],
+        tree: Tree,
         samples: dict[int, tuple[np.ndarray, np.ndarray]],
         pred_cols: list[str],
         value_col: str,
@@ -72,10 +71,11 @@ class PassSynopsis:
         self.use_aggregates = use_aggregates
         #: vectorised (n, d) → leaf-id mapper; enables dynamic inserts.
         self.assign = assign
-        self._leaf_paths: dict[int, list[Node]] | None = None
         self._seen: dict[int, int] = {}  # reservoir counters per leaf
-        self.root = root
-        self.leaves = leaves
+        self.tree = tree
+        #: read-only views of the root and of every leaf, by leaf id.
+        self.root = Node(tree, 0)
+        self.leaves = tree.leaves()
         self.samples = samples  # leaf_id -> (sample_cols matrix (K_i, s), values (K_i,))
         self.pred_cols = list(pred_cols)
         # Columns stored alongside each sampled row; a superset of
@@ -161,14 +161,12 @@ class PassSynopsis:
         alloc, fanout, sample_cols, seed, n_total, t0, assign,
     ) -> "PassSynopsis":
         agg_pdf = spark_build.leaf_aggregates(df_leaf, value_col, pred_cols)
-        leaf_nodes = spark_build.leaves_from_aggregates(agg_pdf, pred_cols, n_leaves)
+        leaves = spark_build.leaves_from_aggregates(agg_pdf, pred_cols, n_leaves)
         if kd is None:
-            root = build_tree(leaf_nodes, fanout=fanout)
+            tree = build_tree(leaves, fanout=fanout)
         else:
-            root = _tree_from_kd(kd.root, leaf_nodes)
-        k_per_leaf = allocate_budget(
-            [l.stats.count for l in leaf_nodes], sample_total, alloc
-        )
+            tree = _tree_from_kd(kd.root, leaves)
+        k_per_leaf = allocate_budget(leaves.count.tolist(), sample_total, alloc)
         sample_cols = list(sample_cols) if sample_cols is not None else list(pred_cols)
         sample_pdf = spark_build.stratified_sample(
             df_leaf, value_col, sample_cols,
@@ -181,7 +179,7 @@ class PassSynopsis:
                 grp[value_col].to_numpy(dtype=np.float64),
             )
         return cls(
-            root, leaf_nodes, samples, pred_cols, value_col, n_total,
+            tree, samples, pred_cols, value_col, n_total,
             sample_cols=sample_cols,
             build_seconds=time.perf_counter() - t0, assign=assign,
         )
@@ -191,109 +189,81 @@ class PassSynopsis:
     def answer(self, q: Query) -> AqpResult:
         lo, hi, external = q.box(self.pred_cols)
         demote = external or not self.use_aggregates
+        nodes = self.tree.nodes
         covered, partial = mcf(
-            self.root, lo, hi, zero_var_as_covered=(q.agg == "avg" and not demote)
+            self.tree, lo, hi, zero_var_as_covered=(q.agg == "avg" and not demote)
         )
         if demote:
-            # Coverage cannot be certified — every candidate node must be
-            # answered from its samples; descend covered nodes to leaves.
-            demoted: list[Node] = []
-            for n in covered:
-                demoted.extend(n.leaves())
-            partial = partial + demoted
-            covered = []
-        cov_stats = [n.stats for n in covered]
-        par_stats = [n.stats for n in partial]
-        lb, ub = hard_bounds(q.agg, cov_stats, par_stats) if not demote else (float("nan"),) * 2
-        n_partial = sum(n.stats.count for n in partial)
-        skipped = 1.0 - n_partial / self.n_total if self.n_total else 0.0
-        # One (leaf, sampled values, predicate matches) stratum per partial leaf.
+            # Coverage cannot be certified — every non-empty leaf under the
+            # frontier is answered from its samples.
+            under = self.tree.cover_count(covered) > 0
+            under[partial] = True
+            partial = np.flatnonzero(under & (self.tree.leaf_id >= 0) & (nodes.count > 0))
+            covered = partial[:0]
+            lb = ub = float("nan")
+        else:
+            lb, ub = hard_bounds(q.agg, nodes, covered, partial)
+        n_strata = nodes.count[partial]
+        skipped = 1.0 - float(n_strata.sum()) / self.n_total if self.n_total else 0.0
+        # The sampled rows of every partial leaf, leaf after leaf.
         no_sample = (np.empty((0, len(self.sample_cols))), np.empty(0))
-        strata = []
-        for n in partial:
-            x, v = self.samples.get(n.leaf_id, no_sample)
-            strata.append((n, v, q.sample_mask(x, self.sample_cols)))
-        processed = sum(v.size for _, v, _ in strata)
+        drawn = [self.samples.get(lid, no_sample) for lid in self.tree.leaf_id[partial].tolist()]
+        sizes = np.array([len(v) for _, v in drawn], dtype=np.int64)
+        x = np.concatenate([x for x, _ in drawn]) if drawn else no_sample[0]
+        v = np.concatenate([v for _, v in drawn]) if drawn else no_sample[1]
+        m = q.sample_mask(x, self.sample_cols)
+        processed = int(v.size)
 
         if q.agg in ("sum", "count"):
-            est = sum(getattr(s, q.agg) for s in cov_stats)
-            var = 0.0
-            for n, v, m in strata:
-                if v.size == 0:
-                    # No sample in this stratum: fall back to the hard-bound
-                    # midpoint with the bound half-width as the deviation.
-                    half = getattr(n.stats, q.agg) / 2.0
-                    est += half
-                    var += half * half
-                    continue
-                e, vr, _ = stratum_estimate(q.agg, v, m, n.stats.count)
-                est += e
-                var += vr
-            return AqpResult(est, LAMBDA_99 * float(np.sqrt(var)), lb, ub, processed, skipped)
+            e, vr, _ = stratum_estimate(q.agg, v, m, sizes, n_strata)
+            est = getattr(nodes, q.agg)[covered].sum() + e.sum()
+            var = vr.sum()
+            idle = partial[sizes == 0]
+            if idle.size:
+                # A stratum with no sample falls back to the midpoint of its
+                # hard-bound range, with the range half-width as the deviation.
+                if q.agg == "sum":
+                    r_lo, r_hi = sum_range(nodes, idle)
+                else:
+                    r_lo, r_hi = np.zeros(idle.size), nodes.count[idle]
+                half = (r_hi - r_lo) / 2.0
+                est += (r_lo + half).sum()
+                var += (half * half).sum()
+            return AqpResult(float(est), LAMBDA_99 * float(np.sqrt(var)), lb, ub, processed, skipped)
 
         if q.agg == "avg":
-            means, variances, weights = [], [], []
-            for s in cov_stats:
-                if s.count > 0:
-                    means.append(s.avg)
-                    variances.append(0.0)
-                    weights.append(s.count)
-            for n, v, m in strata:
-                if v.size == 0:
-                    continue
-                e, vr, k_pred = stratum_estimate("avg", v, m, n.stats.count)
-                if k_pred == 0:
-                    continue
-                means.append(e)
-                variances.append(vr)
-                # Estimated matching count N_i·k_pred/K_i, not the full
-                # partition size (DESIGN.md §5).
-                weights.append(n.stats.count * k_pred / v.size)
-            if not weights:
+            e, vr, k_pred = stratum_estimate("avg", v, m, sizes, n_strata)
+            use = k_pred > 0
+            means = np.concatenate([nodes.sum[covered] / nodes.count[covered], e[use]])
+            variances = np.concatenate([np.zeros(covered.size), vr[use]])
+            # Covered nodes weigh their exact count; a partial leaf its
+            # estimated matching count N_i·k_pred/K_i, not the full partition
+            # size (DESIGN.md §5).
+            weights = np.concatenate([nodes.count[covered], n_strata[use] * k_pred[use] / sizes[use]])
+            if not weights.size:
                 return AqpResult(float("nan"), float("nan"), lb, ub, processed, skipped)
-            w = np.asarray(weights) / sum(weights)
+            w = weights / weights.sum()
             est = float(np.dot(w, means))
             var = float(np.dot(w * w, variances))
             return AqpResult(est, LAMBDA_99 * float(np.sqrt(var)), lb, ub, processed, skipped)
 
         # MIN / MAX: exact over covered nodes, sampled over partial leaves;
         # the deterministic bounds are the uncertainty quantification.
-        cand = []
-        for s in cov_stats:
-            cand.append(s.min if q.agg == "min" else s.max)
-        for _, v, m in strata:
-            if m.any():
-                cand.append(float(v[m].min() if q.agg == "min" else v[m].max()))
-        if not cand:
+        pick = np.min if q.agg == "min" else np.max
+        cand = np.concatenate([getattr(nodes, q.agg)[covered], v[m]])
+        if not cand.size:
             return AqpResult(float("nan"), float("nan"), lb, ub, processed, skipped)
-        est = float(min(cand) if q.agg == "min" else max(cand))
         half = (ub - lb) / 2.0 if np.isfinite(ub) and np.isfinite(lb) else float("nan")
-        return AqpResult(est, half, lb, ub, processed, skipped)
+        return AqpResult(float(pick(cand)), half, lb, ub, processed, skipped)
 
     # -- dynamic updates (§4.5) -----------------------------------------
-
-    def _paths(self) -> dict[int, list[Node]]:
-        """leaf_id → [root, …, leaf]; built once, O(tree) time."""
-        if self._leaf_paths is None:
-            paths: dict[int, list[Node]] = {}
-
-            def walk(node: Node, trail: list[Node]) -> None:
-                trail = trail + [node]
-                if node.is_leaf:
-                    paths[node.leaf_id] = trail
-                for c in node.children:
-                    walk(c, trail)
-
-            walk(self.root, [])
-            self._leaf_paths = paths
-        return self._leaf_paths
 
     def insert(self, row: dict[str, float], rng: np.random.Generator | None = None) -> int:
         """Insert one tuple, maintaining statistical consistency (§4.5).
 
         The tuple is routed to its leaf (O(height) via the stored
-        assigner), every node on the root→leaf path has its SUM/COUNT/
-        MIN/MAX and predicate extents updated in O(1), and the leaf's
+        assigner), every node on the stored root→leaf path has its SUM/
+        COUNT/MIN/MAX and predicate extents updated, and the leaf's
         stratified sample is maintained with Reservoir sampling [41]:
         the new tuple replaces a uniformly random sampled tuple with
         probability K_i/N_i. Returns the leaf id.
@@ -304,15 +274,23 @@ class PassSynopsis:
         x = np.array([[row[c] for c in self.pred_cols]], dtype=np.float64)
         value = float(row[self.value_col])
         lid = int(self.assign(x)[0])
-        delta = PartStats(value, 1.0, value, value)
-        for node in self._paths()[lid]:
-            node.stats = node.stats.merge(delta)
-            node.pred_min = np.minimum(node.pred_min, x[0])
-            node.pred_max = np.maximum(node.pred_max, x[0])
+        nodes = self.tree.nodes
+        path = self.tree.paths[lid]
+        leaf = path[-1]
+        nodes.sum[path] += value
+        nodes.count[path] += 1.0
+        # Every ancestor's MIN/MAX encloses the leaf's, so a value inside the
+        # leaf's range changes neither on any node (written to let NaN through).
+        if not value >= nodes.min[leaf]:
+            nodes.min[path] = np.minimum(nodes.min[path], value)
+        if not value <= nodes.max[leaf]:
+            nodes.max[path] = np.maximum(nodes.max[path], value)
+        nodes.pmin[path] = np.minimum(nodes.pmin[path], x)
+        nodes.pmax[path] = np.maximum(nodes.pmax[path], x)
         self.n_total += 1
         n_i = self._seen.get(lid)
         if n_i is None:
-            n_i = self.leaves[lid].stats.count - 1  # before this insert
+            n_i = nodes.count[leaf] - 1  # before this insert
         n_i += 1
         self._seen[lid] = int(n_i)
         sx, sv = self.samples.get(lid, (np.empty((0, len(self.sample_cols))), np.empty(0)))
@@ -355,7 +333,7 @@ class PassSynopsis:
     @property
     def storage_bytes(self) -> int:
         # ST keeps no tree — only per-stratum sizes and the samples.
-        n_nodes = self.root.n_nodes if self.use_aggregates else len(self.leaves)
+        n_nodes = self.tree.n_nodes if self.use_aggregates else len(self.leaves)
         return synopsis_bytes(
             n_nodes, len(self.pred_cols), self.n_samples, len(self.sample_cols) + 1
         )
@@ -366,8 +344,8 @@ class PassSynopsis:
         fracs = []
         for q in queries:
             lo, hi, _ = q.box(self.pred_cols)
-            _, partial = mcf(self.root, lo, hi)
-            fracs.append(sum(n.stats.count for n in partial) / self.n_total)
+            _, partial = mcf(self.tree, lo, hi)
+            fracs.append(self.tree.nodes.count[partial].sum() / self.n_total)
         return float(np.mean(fracs)) if fracs else 0.0
 
 
@@ -395,10 +373,7 @@ def allocate_budget(counts: list[float], total: int, alloc: str) -> list[int]:
     return out
 
 
-def _tree_from_kd(kdnode: KDNode, leaf_nodes: list[Node]) -> Node:
-    """Mirror the k-d tree topology as aggregate Nodes (leaves carry the
+def _tree_from_kd(kdroot: KDNode, leaves: NodeStats) -> Tree:
+    """Mirror the k-d tree topology as an aggregate tree (leaves carry the
     Spark-computed stats; internals are merged bottom-up)."""
-    if kdnode.is_leaf:
-        return leaf_nodes[kdnode.leaf_id]
-    children = [_tree_from_kd(c, leaf_nodes) for c in kdnode.children]
-    return merge_nodes(children)
+    return Tree(leaves, kdroot, lambda n: n.children, lambda n: n.leaf_id)

@@ -1,130 +1,228 @@
 """Partition tree and the Minimal Coverage Frontier algorithm (§3.2).
 
-A :class:`Node` stores exact SUM/COUNT/MIN/MAX of the aggregation column
-(:class:`~repro.core.variance.PartStats`) plus the observed per-dimension
-min/max of the predicate columns. Covered/partial/none classification
-against a query rectangle uses those *data* extents, which makes the MCF
-classification exact with respect to the dataset and sidesteps the
-half-open float-boundary ambiguity of partitioning conditions.
+The tree is stored as flat per-node arrays (:class:`NodeStats`): exact
+SUM/COUNT/MIN/MAX of the aggregation column plus the observed
+per-dimension min/max of the predicate columns. Covered/partial/none
+classification against a query rectangle uses those *data* extents, which
+makes the MCF classification exact with respect to the dataset and
+sidesteps the half-open float-boundary ambiguity of partitioning
+conditions.
 
-Internal nodes are built bottom-up from the leaf aggregates (mergeable
-summaries) — in the Spark pipeline only the leaves ever touch data.
+Nodes are laid out in pre-order, so the subtree of node ``i`` is the index
+range ``[i, end[i])``. Internal nodes are aggregated bottom-up from the
+leaf aggregates (mergeable summaries) — in the Spark pipeline only the
+leaves ever touch data.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .variance import PartStats
 
 
-@dataclass
-class Node:
-    """One partition-tree node.
+@dataclass(eq=False)
+class NodeStats:
+    """Per-node aggregate arrays: ``sum``/``count``/``min``/``max`` of the
+    aggregation column, shape (n,), and ``pmin``/``pmax``, the observed
+    predicate extents, shape (n, d). An empty node has count 0 and
+    inverted (+inf/−inf) extremes."""
+
+    sum: np.ndarray
+    count: np.ndarray
+    min: np.ndarray
+    max: np.ndarray
+    pmin: np.ndarray
+    pmax: np.ndarray
+
+    @classmethod
+    def empty(cls, n: int, d: int) -> "NodeStats":
+        return cls(
+            np.zeros(n), np.zeros(n), np.full(n, np.inf), np.full(n, -np.inf),
+            np.full((n, d), np.inf), np.full((n, d), -np.inf),
+        )
+
+    def __len__(self) -> int:
+        return len(self.count)
+
+    @property
+    def zero_variance(self) -> np.ndarray:
+        """§3.4 0-variance rule predicate: every aggregate value equal."""
+        return (self.count > 0) & (self.min == self.max)
+
+
+def classify(nodes: NodeStats, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Classify every node against the query rectangle [lo, hi].
+
+    Returns boolean arrays ``(overlap, covered)``: a node is 'none' when it
+    is empty or its extents miss the rectangle, 'covered' when its extents
+    lie inside it, and 'partial' otherwise (``overlap & ~covered``).
+    """
+    missed = nodes.count == 0
+    inside = np.ones(len(nodes), dtype=bool)
+    for j in range(len(lo)):  # column by column: cheaper than row reductions
+        pmin, pmax = nodes.pmin[:, j], nodes.pmax[:, j]
+        missed |= pmax < lo[j]
+        missed |= pmin > hi[j]
+        inside &= lo[j] <= pmin
+        inside &= pmax <= hi[j]
+    overlap = ~missed
+    return overlap, overlap & inside
+
+
+class Tree:
+    """A partition tree in pre-order.
 
     Attributes:
-        stats:    exact aggregates of the aggregation column in this
-                  partition.
-        pred_min: per-predicate-dimension minimum observed value.
-        pred_max: per-predicate-dimension maximum observed value.
-        children: empty for leaves.
-        leaf_id:  stratum id (>= 0) for leaves, -1 for internal nodes.
+        nodes:     the per-node aggregate arrays; the only copy of node state.
+        leaf_id:   stratum id (>= 0) of each leaf node, -1 for internal nodes.
+        end:       the subtree of node ``i`` is the node range ``[i, end[i])``.
+        leaf_node: node index of each leaf id.
+        paths:     node indices root → leaf, per leaf id (for inserts, §4.5).
     """
 
-    stats: PartStats
-    pred_min: np.ndarray
-    pred_max: np.ndarray
-    children: list["Node"] = field(default_factory=list)
-    leaf_id: int = -1
+    def __init__(self, leaves: NodeStats, root, children, leaf_of) -> None:
+        """Lay out the tree under ``root`` in pre-order and aggregate it from
+        the per-leaf aggregates ``leaves``. ``children(key)`` lists a node's
+        children; ``leaf_of(key)`` is its leaf id, or -1 for an internal node."""
+        parent: list[int] = []
+        depth: list[int] = []
+        leaf_id: list[int] = []
+        end: list[int] = []
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
+        def visit(key, p: int, dep: int) -> None:
+            i = len(parent)
+            parent.append(p)
+            depth.append(dep)
+            leaf_id.append(leaf_of(key))
+            end.append(0)
+            for c in children(key):
+                visit(c, i, dep + 1)
+            end[i] = len(parent)
 
-    @property
-    def zero_variance(self) -> bool:
-        """§3.4 0-variance rule predicate: every aggregate value equal."""
-        return self.stats.count > 0 and self.stats.min == self.stats.max
+        visit(root, -1, 0)
+        self.leaf_id = np.array(leaf_id, dtype=np.int64)
+        self.end = np.array(end, dtype=np.int64)
+        is_leaf = self.leaf_id >= 0
+        self.leaf_node = np.empty(len(leaves), dtype=np.int64)
+        self.leaf_node[self.leaf_id[is_leaf]] = np.flatnonzero(is_leaf)
+        self.paths = []
+        for node in self.leaf_node.tolist():
+            path = [node]
+            while parent[path[-1]] >= 0:
+                path.append(parent[path[-1]])
+            self.paths.append(np.array(path[::-1], dtype=np.int64))
+        nodes = NodeStats.empty(len(parent), leaves.pmin.shape[1])
+        for a in ("sum", "count", "min", "max", "pmin", "pmax"):
+            getattr(nodes, a)[self.leaf_node] = getattr(leaves, a)
+        # Deepest level first; each parent folds in its children left to right.
+        parent_of = np.array(parent, dtype=np.int64)
+        depth_of = np.array(depth, dtype=np.int64)
+        for dep in range(max(depth), 0, -1):
+            idx = np.flatnonzero(depth_of == dep)
+            p = parent_of[idx]
+            np.add.at(nodes.sum, p, nodes.sum[idx])
+            np.add.at(nodes.count, p, nodes.count[idx])
+            np.minimum.at(nodes.min, p, nodes.min[idx])
+            np.maximum.at(nodes.max, p, nodes.max[idx])
+            np.minimum.at(nodes.pmin, p, nodes.pmin[idx])
+            np.maximum.at(nodes.pmax, p, nodes.pmax[idx])
+        self.nodes = nodes
 
-    def classify(self, lo: np.ndarray, hi: np.ndarray) -> str:
-        """'none' | 'covered' | 'partial' against query rectangle [lo, hi]."""
-        if self.stats.count == 0:
-            return "none"
-        if np.any(self.pred_max < lo) or np.any(self.pred_min > hi):
-            return "none"
-        if np.all(lo <= self.pred_min) and np.all(self.pred_max <= hi):
-            return "covered"
-        return "partial"
-
-    def iter_nodes(self):
-        yield self
-        for c in self.children:
-            yield from c.iter_nodes()
-
-    def leaves(self) -> list["Node"]:
-        return [n for n in self.iter_nodes() if n.is_leaf]
+    def cover_count(self, idx: np.ndarray) -> np.ndarray:
+        """For every node, how many of the subtrees rooted at ``idx`` hold it
+        (its own included): +1 at each root, −1 at its subtree end, summed."""
+        n = len(self.leaf_id)
+        marks = np.bincount(idx, minlength=n + 1) - np.bincount(self.end[idx], minlength=n + 1)
+        return np.cumsum(marks[:n])
 
     @property
     def n_nodes(self) -> int:
-        return sum(1 for _ in self.iter_nodes())
+        return len(self.nodes)
+
+    def leaves(self) -> list["Node"]:
+        """Leaf views in leaf-id order."""
+        return [Node(self, int(i)) for i in self.leaf_node]
 
 
-def merge_nodes(children: list[Node]) -> Node:
-    """Parent node from a group of siblings (mergeable-summary combine)."""
-    stats = children[0].stats
-    pmin = children[0].pred_min.copy()
-    pmax = children[0].pred_max.copy()
-    for c in children[1:]:
-        stats = stats.merge(c.stats)
-        pmin = np.minimum(pmin, c.pred_min)
-        pmax = np.maximum(pmax, c.pred_max)
-    return Node(stats, pmin, pmax, children=list(children))
+class Node:
+    """Read-only view of node ``index`` of a :class:`Tree`."""
+
+    __slots__ = ("tree", "index")
+
+    def __init__(self, tree: Tree, index: int) -> None:
+        self.tree = tree
+        self.index = index
+
+    @property
+    def stats(self) -> PartStats:
+        n, i = self.tree.nodes, self.index
+        return PartStats(float(n.sum[i]), float(n.count[i]), float(n.min[i]), float(n.max[i]))
+
+    @property
+    def pred_min(self) -> np.ndarray:
+        return _read_only(self.tree.nodes.pmin[self.index])
+
+    @property
+    def pred_max(self) -> np.ndarray:
+        return _read_only(self.tree.nodes.pmax[self.index])
+
+    def classify(self, lo: np.ndarray, hi: np.ndarray) -> str:
+        """'none' | 'covered' | 'partial' against query rectangle [lo, hi]:
+        :func:`classify` over this one node."""
+        n, s = self.tree.nodes, slice(self.index, self.index + 1)
+        row = NodeStats(n.sum[s], n.count[s], n.min[s], n.max[s], n.pmin[s], n.pmax[s])
+        overlap, covered = classify(row, lo, hi)
+        return "covered" if covered[0] else "partial" if overlap[0] else "none"
 
 
-def build_tree(leaves: list[Node], fanout: int = 2) -> Node:
-    """Bottom-up balanced tree over ordered leaves with a fixed fanout."""
-    if not leaves:
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def build_tree(leaves: NodeStats, fanout: int = 2) -> Tree:
+    """Bottom-up balanced tree over ordered leaves with a fixed fanout: each
+    level groups ``fanout`` consecutive nodes of the level below under one
+    parent (a short last group keeps its size)."""
+    if not len(leaves):
         raise ValueError("cannot build a tree with no leaves")
-    level = list(leaves)
-    while len(level) > 1:
-        level = [merge_nodes(level[i : i + fanout]) for i in range(0, len(level), fanout)]
-    return level[0]
+    # levels[h][j] = children of node j at height h, as indices into level h-1.
+    levels: list[list[range]] = []
+    width = len(leaves)
+    while width > 1:
+        levels.append([range(i, min(i + fanout, width)) for i in range(0, width, fanout)])
+        width = len(levels[-1])
+
+    def children(node: tuple[int, int]) -> list[tuple[int, int]]:
+        h, j = node
+        return [(h - 1, c) for c in levels[h - 1][j]] if h else []
+
+    return Tree(leaves, (len(levels), 0), children, lambda node: -1 if node[0] else node[1])
 
 
 def mcf(
-    root: Node, lo: np.ndarray, hi: np.ndarray, *, zero_var_as_covered: bool = False
-) -> tuple[list[Node], list[Node]]:
-    """Minimal Coverage Frontier (Algorithm 1).
+    tree: Tree, lo: np.ndarray, hi: np.ndarray, *, zero_var_as_covered: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimal Coverage Frontier (Algorithm 1), for every node in one pass.
 
-    Depth-first search that returns ``(covered, partial)``: nodes fully
-    inside the query rectangle (pruned as high in the tree as possible)
-    and partially-overlapping *leaf* nodes. With ``zero_var_as_covered``
-    (the §3.4 0-variance rule, valid for AVG queries) a partially
-    overlapping node whose aggregate values are all equal is returned as
-    covered without descending.
+    Returns node-index arrays ``(covered, partial)`` in pre-order: nodes
+    fully inside the query rectangle with no covered ancestor (pruned as
+    high in the tree as possible), and partially-overlapping *leaves* with
+    no covered ancestor. With ``zero_var_as_covered`` (the §3.4 0-variance
+    rule, valid for AVG queries) a partially overlapping node whose
+    aggregate values are all equal counts as covered.
     """
-    covered: list[Node] = []
-    partial: list[Node] = []
-
-    def visit(node: Node) -> None:
-        cls = node.classify(lo, hi)
-        if cls == "none":
-            return
-        if cls == "covered":
-            covered.append(node)
-            return
-        if zero_var_as_covered and node.zero_variance:
-            covered.append(node)
-            return
-        if node.is_leaf:
-            partial.append(node)
-            return
-        for c in node.children:
-            visit(c)
-
-    visit(root)
-    return covered, partial
+    nodes = tree.nodes
+    overlap, covered = classify(nodes, lo, hi)
+    if zero_var_as_covered:
+        covered |= overlap & nodes.zero_variance
+    # A covered node is on the frontier when it lies in no covered subtree
+    # but its own; a partial leaf when it lies in none.
+    depth = tree.cover_count(np.flatnonzero(covered))
+    partial = overlap & ~covered & (tree.leaf_id >= 0)
+    return np.flatnonzero(covered & (depth == 1)), np.flatnonzero(partial & (depth == 0))
 
 
 def synopsis_bytes(n_nodes: int, d: int, n_rows: int, row_width: int) -> int:

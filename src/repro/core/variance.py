@@ -4,9 +4,11 @@ Implements the estimator algebra of §2.1–§2.3:
 
 * :func:`stratum_estimate` — the per-stratum estimate and estimator
   variance for SUM/COUNT/AVG via the φ-transforms of Equation 1, with the
-  finite-population correction (footnote 1) so a 100% sample is exact.
+  finite-population correction (footnote 1) so a 100% sample is exact;
+  one call estimates every stratum of a query.
 * :func:`hard_bounds` — the deterministic worst-case bounds of §2.3 from
-  covered/partial partition aggregates (SUM/COUNT/AVG/MIN/MAX).
+  covered/partial partition aggregates (SUM/COUNT/AVG/MIN/MAX), for
+  values of any sign.
 * :class:`PrefixStats` / :func:`cal_v` — O(1) range sums and the
   𝒱_i(q) = n_i·Σt² − (Σt)² quantity of Appendix A.2 that every
   partitioning algorithm maximises over candidate queries.
@@ -21,52 +23,61 @@ import numpy as np
 LAMBDA_99 = 2.576
 
 
-def _fpc(n_pop: float, n_sample: float) -> float:
-    """Finite population correction (N−K)/(N−1); 0 when the sample is the
-    population, 1 when N is huge relative to K."""
-    if n_pop <= 1:
-        return 0.0
-    return max(0.0, (n_pop - n_sample) / (n_pop - 1.0))
-
-
 def stratum_estimate(
-    agg: str, values: np.ndarray, mask: np.ndarray, n_stratum: float
-) -> tuple[float, float, int]:
-    """Estimate one stratum's contribution from its uniform sample.
+    agg: str, values: np.ndarray, mask: np.ndarray, sizes, n_strata
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Estimate each stratum's contribution from its uniform sample.
 
     Args:
-        agg:       'sum' | 'count' | 'avg'.
-        values:    aggregate-column values of the K_i sampled tuples.
-        mask:      predicate-match booleans for those tuples.
-        n_stratum: N_i, the true number of tuples in the stratum.
+        agg:      'sum' | 'count' | 'avg'.
+        values:   aggregate-column values of the sampled tuples, stratum by
+                  stratum: the first ``sizes[0]`` belong to stratum 0, etc.
+        mask:     predicate-match booleans for those tuples.
+        sizes:    K_i, the number of sampled tuples of each stratum.
+        n_strata: N_i, the true number of tuples in each stratum.
 
     Returns:
-        ``(estimate, variance_of_estimator, k_pred)`` where the variance is
-        ``var(φ(S_i))/K_i`` times the FPC (Equations 3–4). For AVG the
-        estimate is the plain mean of matching sampled values (equivalent
-        to Equation 2) and k_pred is the number of matching samples; with
-        no matching sample the estimate and its variance are both NaN.
+        Per-stratum arrays ``(estimate, variance_of_estimator, k_pred)``
+        where the variance is ``var(φ(S_i))/K_i`` times the finite
+        population correction (N_i−K_i)/(N_i−1) (Equations 3–4, footnote 1),
+        so a 100% sample is exact. For AVG the estimate is the plain mean of
+        matching sampled values (equivalent to Equation 2) and k_pred is the
+        number of matching samples; with no matching sample the estimate and
+        its variance are both NaN. A stratum with no sample gives (0, 0, 0).
     """
-    k = int(values.size)
-    if k == 0:
-        return 0.0, 0.0, 0
-    k_pred = int(mask.sum())
-    fpc = _fpc(n_stratum, k)
-    if agg == "count":
-        phi = mask.astype(np.float64) * n_stratum
-    elif agg == "sum":
-        phi = mask * values * n_stratum
-    elif agg == "avg":
-        if k_pred == 0:
-            return float("nan"), float("nan"), 0
-        est = float(values[mask].mean())
-        phi = mask * values * (k / k_pred)
-        var = float(np.var(phi, ddof=1) / k * fpc) if k > 1 else 0.0
-        return est, var, k_pred
-    else:
+    if agg not in ("sum", "count", "avg"):
         raise ValueError(f"stratum_estimate does not support {agg!r}")
-    est = float(phi.mean())
-    var = float(np.var(phi, ddof=1) / k * fpc) if k > 1 else 0.0
+    k = np.asarray(sizes, dtype=np.int64)
+    n = np.asarray(n_strata, dtype=np.float64)
+    sampled = k > 0
+    starts = (np.cumsum(k) - k)[sampled]
+
+    def per_stratum(x: np.ndarray) -> np.ndarray:
+        """Sum of ``x`` over each stratum's rows; 0 for a stratum with none."""
+        out = np.zeros(len(k))
+        if starts.size:
+            out[sampled] = np.add.reduceat(x, starts)
+        return out
+
+    k_pred = per_stratum(mask.astype(np.float64)).astype(np.int64)
+    if agg == "count":
+        phi = mask * np.repeat(n, k)
+    elif agg == "sum":
+        phi = mask * values * np.repeat(n, k)
+    else:
+        hits = mask * values
+        scale = np.divide(k, k_pred, out=np.zeros(len(k)), where=k_pred > 0)
+        phi = hits * np.repeat(scale, k)
+    kf = np.maximum(k, 1).astype(np.float64)
+    mean = per_stratum(phi) / kf
+    dev = phi - np.repeat(mean, k)
+    fpc = np.maximum(0.0, np.divide(n - k, n - 1.0, out=np.zeros(len(k)), where=n > 1))
+    var = np.divide(per_stratum(dev * dev), kf - 1.0, out=np.zeros(len(k)), where=k > 1) / kf * fpc
+    if agg != "avg":
+        return mean, var, k_pred
+    est = np.divide(per_stratum(hits), k_pred, out=np.zeros(len(k)), where=k_pred > 0)
+    none = sampled & (k_pred == 0)
+    est[none] = var[none] = np.nan
     return est, var, k_pred
 
 
@@ -83,58 +94,56 @@ class PartStats:
     def avg(self) -> float:
         return self.sum / self.count if self.count else float("nan")
 
-    def merge(self, other: "PartStats") -> "PartStats":
-        """Mergeable-summary combine — parents are built from children."""
-        return PartStats(
-            self.sum + other.sum,
-            self.count + other.count,
-            min(self.min, other.min),
-            max(self.max, other.max),
-        )
+
+def sum_range(nodes, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per node of ``idx``: the least and greatest SUM any subset of its
+    tuples can have, for values of any sign. A node whose values are all
+    non-negative spans [0, SUM]; all non-positive, [SUM, 0]; mixed,
+    [COUNT·MIN, COUNT·MAX]."""
+    s, c, lo, hi = nodes.sum[idx], nodes.count[idx], nodes.min[idx], nodes.max[idx]
+    return (
+        np.where(hi <= 0, s, np.minimum(0.0, c * lo)),
+        np.where(lo >= 0, s, np.maximum(0.0, c * hi)),
+    )
 
 
-def hard_bounds(
-    agg: str, covered: list[PartStats], partial: list[PartStats]
-) -> tuple[float, float]:
+def hard_bounds(agg: str, nodes, covered: np.ndarray, partial: np.ndarray) -> tuple[float, float]:
     """Deterministic (100%-confidence) bounds of §2.3.
 
-    ``covered`` partitions are known to lie fully inside the predicate;
-    ``partial`` partitions may contribute anywhere from zero tuples to all
-    of their tuples. Assumes non-negative aggregate values for SUM
-    (paper footnote 2).
+    ``nodes`` holds per-node ``sum``/``count``/``min``/``max`` arrays (a
+    :class:`~repro.core.tree.NodeStats`); ``covered`` indexes the nodes known
+    to lie fully inside the predicate, ``partial`` those that may contribute
+    anywhere from zero tuples to all of their tuples. SUM bounds hold for
+    values of any sign (:func:`sum_range`).
     """
-    if agg in ("sum", "count"):
-        key = agg
-        lb = sum(getattr(p, key) for p in covered)
-        ub = lb + sum(getattr(p, key) for p in partial)
-        return float(lb), float(ub)
+    if agg == "count":
+        lb = nodes.count[covered].sum()
+        return float(lb), float(lb + nodes.count[partial].sum())
+    if agg == "sum":
+        base = nodes.sum[covered].sum()
+        lo, hi = sum_range(nodes, partial)
+        return float(base + lo.sum()), float(base + hi.sum())
     if agg == "avg":
-        c_sum = sum(p.sum for p in covered)
-        c_cnt = sum(p.count for p in covered)
-        have_cov = c_cnt > 0
-        cov_avg = c_sum / c_cnt if have_cov else float("nan")
-        if not partial:
-            return cov_avg, cov_avg
-        p_min = min(p.min for p in partial)
-        p_max = max(p.max for p in partial)
-        if not have_cov:
+        c_cnt = nodes.count[covered].sum()
+        cov_avg = nodes.sum[covered].sum() / c_cnt if c_cnt > 0 else float("nan")
+        if not partial.size:
+            return float(cov_avg), float(cov_avg)
+        p_min = nodes.min[partial].min()
+        p_max = nodes.max[partial].max()
+        if not c_cnt > 0:
             return float(p_min), float(p_max)
         return float(min(cov_avg, p_min)), float(max(cov_avg, p_max))
-    if agg == "min":
+    if agg in ("min", "max"):
+        if not (covered.size or partial.size):
+            return float("nan"), float("nan")
         # True MIN <= every covered partition's MIN; it is >= the smallest
-        # min of any relevant partition.
-        relevant = covered + partial
-        if not relevant:
-            return float("nan"), float("nan")
-        lb = min(p.min for p in relevant)
-        ub = min(p.min for p in covered) if covered else max(p.max for p in partial)
-        return float(lb), float(ub)
-    if agg == "max":
-        relevant = covered + partial
-        if not relevant:
-            return float("nan"), float("nan")
-        ub = max(p.max for p in relevant)
-        lb = max(p.max for p in covered) if covered else min(p.min for p in partial)
+        # min of any relevant partition (mirrored for MAX).
+        if agg == "min":
+            lb = min(nodes.min[covered].min(initial=np.inf), nodes.min[partial].min(initial=np.inf))
+            ub = nodes.min[covered].min() if covered.size else nodes.max[partial].max()
+        else:
+            ub = max(nodes.max[covered].max(initial=-np.inf), nodes.max[partial].max(initial=-np.inf))
+            lb = nodes.max[covered].max() if covered.size else nodes.min[partial].min()
         return float(lb), float(ub)
     raise ValueError(f"unsupported aggregate {agg!r}")
 

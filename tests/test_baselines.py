@@ -9,8 +9,7 @@ from repro.baselines.uniform import UniformSampling
 from repro.baselines.verdictdb_lite import build_verdictdb
 from repro.core.query import Query
 from repro.core.synopsis import PassSynopsis
-from repro.core.tree import Node
-from repro.core.variance import PartStats
+from repro.core.tree import NodeStats, build_tree
 from repro.synth_data import NYC_PREDICATES
 from repro.workload import random_queries
 
@@ -85,11 +84,11 @@ def test_us_empty_avg(us_small):
 def _tiny(kind):
     """One approach over ``c`` = 0..9, ``a`` = 1, built without Spark."""
     x, v = np.arange(10.0)[:, None], np.ones(10)
-    leaf = Node(PartStats(10.0, 10.0, 1.0, 1.0), x.min(0), x.max(0), leaf_id=0)
+    leaf = NodeStats(np.array([10.0]), np.array([10.0]), np.ones(1), np.ones(1), x.min(0)[None], x.max(0)[None])
     if kind is PassSynopsis:
-        return PassSynopsis(leaf, [leaf], {0: (x, v)}, ["c"], "a", 10)
+        return PassSynopsis(build_tree(leaf), {0: (x, v)}, ["c"], "a", 10)
     if kind is AggPlusUniform:
-        return AggPlusUniform([leaf], lambda z: np.zeros(len(z), np.int64), x, v, ["c"], "a", 10)
+        return AggPlusUniform(leaf, lambda z: np.zeros(len(z), np.int64), x, v, ["c"], "a", 10)
     return UniformSampling(x, v, ["c"], "a", 10)
 
 
@@ -169,8 +168,7 @@ def test_aqppp_reasonable(aqppp, intel_pdf, agg):
 
 def test_aqppp_aligned_query_exact(aqppp, intel_pdf):
     """A query exactly covering some partitions has no gap → exact."""
-    leaf = aqppp.leaves[2]
-    q = Query("sum", ("time",), (float(leaf.pred_min[0]),), (float(leaf.pred_max[0]),))
+    q = Query("sum", ("time",), (float(aqppp.leaves.pmin[2, 0]),), (float(aqppp.leaves.pmax[2, 0]),))
     res = aqppp.answer(q)
     assert res.est == pytest.approx(q.truth(intel_pdf, "light"), rel=1e-9)
     assert res.ci_half == pytest.approx(0.0, abs=1e-6)

@@ -1,11 +1,18 @@
 """The benchmark's per-layer tracer (``perfbench/tracer.py``) wraps names of
 ``repro.core`` where the synopsis looks them up. Installing it fails if one of
-those names is gone, and uninstalling must put every original back."""
+those names is gone, and uninstalling must put every original back. Its
+per-query spans and counts must also keep meaning one MCF pass and one
+batched estimate per query."""
 import os
 import sys
 import types
 
+import numpy as np
+import pytest
+
 from repro.core import synopsis, tree
+from repro.core.query import Query
+from tests.reference import synopsis_1d
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
 import tracer  # noqa: E402
@@ -22,3 +29,25 @@ def test_tracer_installs_and_restores():
         assert after.keys() == saved.keys()
         for name, obj in saved.items():
             assert after[name] is obj, f"{owner.__name__}.{name} not restored"
+
+
+@pytest.mark.parametrize("agg", ["sum", "count", "avg", "min", "max"])
+def test_one_answer_traces_one_mcf_and_one_estimate(agg):
+    """A query is one MCF pass and at most one batched stratum estimate, and
+    the traced node counts are the sizes of what MCF returned."""
+    rng = np.random.default_rng(3)
+    c = rng.integers(0, 1000, 4000).astype(float)
+    syn = synopsis_1d(c, rng.lognormal(0, 1, c.size), np.arange(50.0, 1000.0, 50.0), 20)
+    q = Query(agg, ("c",), (120.0,), (730.0,))
+    t = tracer.Tracer(None, types.SimpleNamespace(count=lambda: 0))
+    with t.installed():
+        t.new_op("query")
+        syn.answer(q)
+    names = [name for _, name, *_ in t.spans]
+    assert names.count("tree.mcf") == 1
+    assert names.count("variance.stratum_estimate") <= 1
+    lo, hi, _ = q.box(syn.pred_cols)
+    covered, partial = tree.mcf(syn.tree, lo, hi, zero_var_as_covered=agg == "avg")
+    assert partial.size > 0
+    assert t.counts[(0, "tree.covered_nodes")] == len(covered)
+    assert t.counts[(0, "tree.partial_leaves")] == len(partial)

@@ -63,9 +63,13 @@ def test_leaves_from_aggregates_orders_and_fills(intel_leaf_df):
     agg = spark_build.leaf_aggregates(df, "light", ["time"])
     leaves = spark_build.leaves_from_aggregates(agg, ["time"], 6)
     assert len(leaves) == 6
-    assert [l.leaf_id for l in leaves] == list(range(6))
+    by_id = agg.set_index(LEAF_COL)
+    for i in by_id.index:
+        assert leaves.count[i] == by_id.loc[i, "agg_count"]
+        assert leaves.sum[i] == by_id.loc[i, "agg_sum"]
+        assert leaves.pmin[i, 0] == by_id.loc[i, "pmin_time"]
     # Leaves 4 and 5 don't exist in the data — empty nodes.
-    assert leaves[5].stats.count == 0
+    assert leaves.count[5] == 0 and leaves.pmin[5, 0] == np.inf
 
 
 def test_stratified_sample_sizes_exact(intel_leaf_df):

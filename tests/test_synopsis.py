@@ -1,13 +1,16 @@
 """PASS synopsis: exactness on aligned queries, estimator quality, hard
 bounds, CIs, skip accounting, budget allocation, KD build (§3)."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.query import Query
 from repro.core.synopsis import PassSynopsis, allocate_budget
+from repro.core.variance import LAMBDA_99
 from repro.oracle import assert_equivalent
 from repro.synth_data import NYC_PREDICATES
 from repro.workload import random_queries
+from tests.reference import synopsis_1d
 
 
 # -- budget allocation ---------------------------------------------------
@@ -247,3 +250,40 @@ def test_mean_partial_fraction(intel_synopsis, intel_pdf):
     qs = random_queries(intel_pdf, ["time"], "sum", 20, seed=37, min_count=60)
     f = intel_synopsis.mean_partial_fraction(qs)
     assert 0.0 <= f <= 1.0
+
+
+# -- signed values (§2.3 bounds beyond paper footnote 2) ---------------------
+
+
+def _centred_synopsis(nyc_pdf, per_leaf):
+    """PASS over a mean-centred ``trip_distance`` (about half the values
+    negative), built from numpy arrays."""
+    c = nyc_pdf["pickup_time"].to_numpy(float)
+    v = nyc_pdf["trip_distance"].to_numpy(float)
+    v = v - v.mean()
+    b = np.quantile(c, np.linspace(0, 1, 17)[1:-1])
+    return synopsis_1d(c, v, b, per_leaf, seed=1), c, v
+
+
+def test_signed_sum_bounds_contain_truth(nyc_pdf):
+    syn, c, v = _centred_synopsis(nyc_pdf, 40)
+    assert (v < 0).mean() > 0.3
+    qs = random_queries(pd.DataFrame({"c": c}), ["c"], "sum", 150, seed=3)
+    for q in qs:
+        m = (c >= q.lo[0]) & (c <= q.hi[0])
+        res = syn.answer(q)
+        assert res.lb - 1e-6 <= v[m].sum() <= res.ub + 1e-6
+
+
+def test_sum_without_samples_is_bound_midpoint(nyc_pdf):
+    """With no sample in any partial leaf, a SUM or COUNT estimate is the
+    midpoint of its hard bounds, and each leaf's half-width is its deviation."""
+    syn, c, _ = _centred_synopsis(nyc_pdf, 40)
+    syn.samples.clear()
+    for q in random_queries(pd.DataFrame({"c": c}), ["c"], "sum", 30, seed=4):
+        for agg in ("sum", "count"):
+            res = syn.answer(Query(agg, q.cols, q.lo, q.hi))
+            assert res.est == pytest.approx((res.lb + res.ub) / 2, rel=1e-9, abs=1e-9)
+            half = (res.ub - res.lb) / 2
+            assert (res.ci_half > 0) == (half > 0)
+            assert res.ci_half <= LAMBDA_99 * half * (1 + 1e-9)

@@ -1,63 +1,68 @@
 """Partition tree invariants and the MCF traversal (§3.2, Algorithm 1)."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.tree import Node, build_tree, mcf, merge_nodes, synopsis_bytes
-from repro.core.variance import PartStats
+from repro.core.kdtree import KDTree
+from repro.core.synopsis import _tree_from_kd
+from repro.core.tree import Node, NodeStats, build_tree, mcf, synopsis_bytes
+from tests.reference import children, classify_one, leaf_stats, mcf_recursive
 
 
-def leaf_from(values, lo, hi):
-    v = np.asarray(values, float)
-    return Node(
-        PartStats(v.sum(), v.size, v.min(), v.max()),
-        np.array([float(lo)]),
-        np.array([float(hi)]),
-    )
+def leaves_from(groups, extents):
+    """Leaf arrays from per-leaf value lists and 1-D [lo, hi] extents."""
+    leaves = NodeStats.empty(len(groups), 1)
+    for i, (vals, (lo, hi)) in enumerate(zip(groups, extents)):
+        v = np.asarray(vals, float)
+        leaves.sum[i], leaves.count[i], leaves.min[i], leaves.max[i] = v.sum(), v.size, v.min(), v.max()
+        leaves.pmin[i], leaves.pmax[i] = lo, hi
+    return leaves
 
 
 @pytest.fixture()
 def chain_leaves():
     """8 leaves over [0,10), [10,20), ... with increasing values."""
-    return [leaf_from([i * 10 + 1, i * 10 + 2], i * 10, i * 10 + 9) for i in range(8)]
-
-
-def test_merge_nodes_aggregates(chain_leaves):
-    p = merge_nodes(chain_leaves[:2])
-    assert p.stats.count == 4
-    assert p.stats.sum == pytest.approx(1 + 2 + 11 + 12)
-    assert p.pred_min[0] == 0 and p.pred_max[0] == 19
+    return leaves_from(
+        [[i * 10 + 1, i * 10 + 2] for i in range(8)], [(i * 10, i * 10 + 9) for i in range(8)]
+    )
 
 
 def test_build_tree_structure(chain_leaves):
-    root = build_tree(chain_leaves, fanout=2)
-    assert root.n_nodes == 15  # 8 + 4 + 2 + 1
-    assert len(root.leaves()) == 8
-    assert root.stats.count == sum(l.stats.count for l in chain_leaves)
+    tree = build_tree(chain_leaves, fanout=2)
+    assert tree.n_nodes == 15  # 8 + 4 + 2 + 1
+    assert len(tree.leaves()) == 8
+    assert tree.leaf_id[tree.leaf_node].tolist() == list(range(8))
+    assert Node(tree, 0).stats.count == chain_leaves.count.sum()
 
 
 def test_build_tree_fanout4(chain_leaves):
-    root = build_tree(chain_leaves, fanout=4)
-    assert len(root.children) == 2
-    assert all(len(c.children) == 4 for c in root.children)
+    tree = build_tree(chain_leaves, fanout=4)
+    assert len(children(tree, 0)) == 2
+    assert all(len(children(tree, c)) == 4 for c in children(tree, 0))
 
 
 def test_build_tree_parent_equals_union(chain_leaves):
-    root = build_tree(chain_leaves, fanout=2)
-    for node in root.iter_nodes():
-        if node.children:
-            assert node.stats.count == sum(c.stats.count for c in node.children)
-            assert node.stats.sum == pytest.approx(sum(c.stats.sum for c in node.children))
-            assert node.stats.min == min(c.stats.min for c in node.children)
-            assert node.stats.max == max(c.stats.max for c in node.children)
+    tree = build_tree(chain_leaves, fanout=2)
+    n = tree.nodes
+    for i in range(tree.n_nodes):
+        kids = children(tree, i)
+        if kids:
+            assert n.count[i] == n.count[kids].sum()
+            assert n.sum[i] == pytest.approx(n.sum[kids].sum())
+            assert n.min[i] == n.min[kids].min()
+            assert n.max[i] == n.max[kids].max()
+            assert n.pmin[i, 0] == n.pmin[kids, 0].min()
+            assert n.pmax[i, 0] == n.pmax[kids, 0].max()
 
 
 def test_build_tree_empty_raises():
     with pytest.raises(ValueError):
-        build_tree([])
+        build_tree(NodeStats.empty(0, 1))
 
 
 def test_classify_three_cases(chain_leaves):
-    n = chain_leaves[2]  # data extent [20, 29]
+    n = build_tree(chain_leaves).leaves()[2]  # data extent [20, 29]
     assert n.classify(np.array([20.0]), np.array([29.0])) == "covered"
     assert n.classify(np.array([0.0]), np.array([100.0])) == "covered"
     assert n.classify(np.array([25.0]), np.array([40.0])) == "partial"
@@ -65,87 +70,131 @@ def test_classify_three_cases(chain_leaves):
 
 
 def test_classify_empty_node_is_none():
-    n = Node(PartStats(0, 0, float("inf"), float("-inf")), np.array([np.inf]), np.array([-np.inf]))
+    n = Node(build_tree(NodeStats.empty(1, 1)), 0)
     assert n.classify(np.array([-1e18]), np.array([1e18])) == "none"
 
 
 def test_mcf_aligned_query_fully_covered(chain_leaves):
-    root = build_tree(chain_leaves, fanout=2)
-    covered, partial = mcf(root, np.array([10.0]), np.array([29.0]))
-    assert not partial
-    assert sum(n.stats.count for n in covered) == 4  # leaves 1 and 2
+    tree = build_tree(chain_leaves, fanout=2)
+    covered, partial = mcf(tree, np.array([10.0]), np.array([29.0]))
+    assert not partial.size
+    assert tree.nodes.count[covered].sum() == 4  # leaves 1 and 2
 
 
 def test_mcf_root_pruning(chain_leaves):
     """A query covering everything must return the root alone."""
-    root = build_tree(chain_leaves, fanout=2)
-    covered, partial = mcf(root, np.array([-1.0]), np.array([1000.0]))
-    assert covered == [root] and not partial
+    tree = build_tree(chain_leaves, fanout=2)
+    covered, partial = mcf(tree, np.array([-1.0]), np.array([1000.0]))
+    assert covered.tolist() == [0] and not partial.size
 
 
 def test_mcf_partial_edges(chain_leaves):
-    root = build_tree(chain_leaves, fanout=2)
-    covered, partial = mcf(root, np.array([5.0]), np.array([35.0]))
+    tree = build_tree(chain_leaves, fanout=2)
+    covered, partial = mcf(tree, np.array([5.0]), np.array([35.0]))
     # Leaves 0 and 3 partially overlap; 1, 2 fully covered.
-    assert {n.leaf_id for n in partial} == {
-        chain_leaves[0].leaf_id,
-        chain_leaves[3].leaf_id,
-    }
-    assert sum(n.stats.count for n in covered) == 4
+    assert set(tree.leaf_id[partial].tolist()) == {0, 3}
+    assert tree.nodes.count[covered].sum() == 4
 
 
 def test_mcf_disjoint_query(chain_leaves):
-    root = build_tree(chain_leaves, fanout=2)
-    covered, partial = mcf(root, np.array([200.0]), np.array([300.0]))
-    assert not covered and not partial
+    tree = build_tree(chain_leaves, fanout=2)
+    covered, partial = mcf(tree, np.array([200.0]), np.array([300.0]))
+    assert not covered.size and not partial.size
+
+
+def _subtree_leaves(tree, i):
+    return {int(l) for l in tree.leaf_id[i : tree.end[i]] if l >= 0}
 
 
 def test_mcf_matches_bruteforce_random():
     """MCF's covered+partial sets must equal a flat scan's classification
     (with covered subtrees expanded to leaves)."""
     rng = np.random.default_rng(0)
-    leaves = []
     edges = np.sort(rng.choice(np.arange(1, 1000), 31, replace=False))
     starts = np.concatenate([[0], edges])
     ends = np.concatenate([edges - 1, [999]])
-    for i, (s, e) in enumerate(zip(starts, ends)):
-        vals = rng.random(3) * 10
-        n = leaf_from(vals, s, e)
-        n.leaf_id = i
-        leaves.append(n)
-    root = build_tree(leaves, fanout=2)
+    tree = build_tree(leaves_from([rng.random(3) * 10 for _ in starts], zip(starts, ends)))
+    leaf_nodes = tree.leaf_node
     for _ in range(50):
-        lo = float(rng.integers(0, 900))
-        hi = float(rng.integers(int(lo), 1000))
-        covered, partial = mcf(root, np.array([lo]), np.array([hi]))
-        cov_leaf_ids = {l.leaf_id for n in covered for l in n.leaves()}
-        par_leaf_ids = {n.leaf_id for n in partial}
-        flat_cov = {n.leaf_id for n in leaves if n.classify(np.array([lo]), np.array([hi])) == "covered"}
-        flat_par = {n.leaf_id for n in leaves if n.classify(np.array([lo]), np.array([hi])) == "partial"}
-        assert cov_leaf_ids == flat_cov
-        assert par_leaf_ids == flat_par
+        lo = np.array([float(rng.integers(0, 900))])
+        hi = np.array([float(rng.integers(int(lo[0]), 1000))])
+        covered, partial = mcf(tree, lo, hi)
+        cov_leaf_ids = {l for n in covered for l in _subtree_leaves(tree, n)}
+        par_leaf_ids = set(tree.leaf_id[partial].tolist())
+        flat = [classify_one(tree.nodes, n, lo, hi) for n in leaf_nodes]
+        assert cov_leaf_ids == {i for i, c in enumerate(flat) if c == "covered"}
+        assert par_leaf_ids == {i for i, c in enumerate(flat) if c == "partial"}
         assert not (cov_leaf_ids & par_leaf_ids)
 
 
 def test_zero_variance_rule():
     """§3.4: a partially-overlapped 0-variance node is returned as covered
     when the rule is enabled."""
-    n0 = leaf_from([5.0, 5.0, 5.0], 0, 9)  # constant values
-    n1 = leaf_from([1.0, 9.0], 10, 19)
-    root = build_tree([n0, n1])
+    tree = build_tree(leaves_from([[5.0, 5.0, 5.0], [1.0, 9.0]], [(0, 9), (10, 19)]))
+    n0, n1 = tree.leaf_node
     lo, hi = np.array([3.0]), np.array([15.0])
-    covered, partial = mcf(root, lo, hi, zero_var_as_covered=True)
+    covered, partial = mcf(tree, lo, hi, zero_var_as_covered=True)
     assert n0 in covered and n1 in partial
-    covered, partial = mcf(root, lo, hi, zero_var_as_covered=False)
+    covered, partial = mcf(tree, lo, hi, zero_var_as_covered=False)
     assert n0 in partial and n1 in partial
 
 
-def test_zero_variance_property(chain_leaves):
-    assert leaf_from([3, 3, 3], 0, 1).zero_variance
-    assert not chain_leaves[0].zero_variance
+def test_zero_variance_property():
+    zv = leaves_from([[3, 3, 3], [1, 2]], [(0, 1), (2, 3)]).zero_variance
+    assert zv.tolist() == [True, False]
+    assert not NodeStats.empty(1, 1).zero_variance[0]
 
 
 def test_synopsis_bytes_accounting(chain_leaves):
-    root = build_tree(chain_leaves, fanout=2)
-    b = synopsis_bytes(root.n_nodes, d=1, n_rows=10, row_width=2)
+    tree = build_tree(chain_leaves, fanout=2)
+    b = synopsis_bytes(tree.n_nodes, d=1, n_rows=10, row_width=2)
     assert b == 15 * 6 * 8 + 10 * 2 * 8
+
+
+# -- the vectorised MCF against the recursive definition -------------------
+
+
+def _random_tree(draw_seed, kind, d, n_rows, n_leaves):
+    """A 1-D fanout-2/4 tree or a k-d tree over ``n_rows`` random rows.
+    Values come from a small set, so some nodes have zero variance, and
+    1-D leaves outnumber distinct predicate values, so some are empty."""
+    rng = np.random.default_rng(draw_seed)
+    x = rng.integers(0, 12, size=(n_rows, d)).astype(float)
+    v = rng.choice([0.0, 1.0, 1.0, 4.0], n_rows) * (x[:, 0] > 5) + 2.0
+    if kind == "kd":
+        kd = KDTree(x, v, n_leaves, seed=draw_seed)
+        return _tree_from_kd(kd.root, leaf_stats(x, v, kd.assign(x), kd.n_leaves))
+    b = np.sort(rng.choice(np.arange(-1.0, 14.0, 0.5), min(n_leaves - 1, 30), replace=False))
+    lids = np.searchsorted(b, x[:, 0], side="right")
+    return build_tree(leaf_stats(x[:, :1], v, lids, len(b) + 1), fanout=2 if kind == "1d2" else 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["1d2", "1d4", "kd"]),
+    d=st.integers(1, 3),
+    n_rows=st.integers(1, 120),
+    n_leaves=st.integers(1, 40),
+    bounds=st.lists(
+        st.tuples(
+            st.one_of(st.just(-np.inf), st.floats(-2, 14)),
+            st.one_of(st.just(np.inf), st.floats(-2, 14)),
+        ),
+        min_size=3,
+        max_size=3,
+    ),
+    zero_var=st.booleans(),
+)
+def test_mcf_equals_recursive_definition(seed, kind, d, n_rows, n_leaves, bounds, zero_var):
+    """Same covered nodes and partial leaves, in the same (pre-)order, as the
+    depth-first Algorithm 1 — with empty leaves, zero-variance nodes,
+    unconstrained (±inf) columns and empty ranges (lo > hi)."""
+    tree = _random_tree(seed, kind, d, n_rows, n_leaves)
+    dims = tree.nodes.pmin.shape[1]
+    lo = np.array([b[0] for b in bounds[:dims]])
+    hi = np.array([b[1] for b in bounds[:dims]])
+    covered, partial = mcf(tree, lo, hi, zero_var_as_covered=zero_var)
+    want_cov, want_par = mcf_recursive(tree, lo, hi, zero_var)
+    assert covered.tolist() == want_cov
+    assert partial.tolist() == want_par

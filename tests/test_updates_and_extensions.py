@@ -4,7 +4,9 @@ import pytest
 
 from repro.core.query import Query
 from repro.core.synopsis import PassSynopsis
+from repro.core.tree import build_tree
 from repro.synth_data import NYC_PREDICATES
+from tests.reference import leaf_stats, synopsis_1d
 
 
 @pytest.fixture()
@@ -19,16 +21,21 @@ def syn(intel_df):
 
 
 def test_insert_updates_path_statistics(syn):
-    before_sum = syn.root.stats.sum
-    before_cnt = syn.root.stats.count
+    nodes = syn.tree.nodes
+    before_sum, before_cnt = nodes.sum.copy(), nodes.count.copy()
+    before_root = syn.root.stats
     lid = syn.insert({"time": 100.0, "light": 42.0}, rng=np.random.default_rng(0))
-    assert syn.root.stats.count == before_cnt + 1
-    assert syn.root.stats.sum == pytest.approx(before_sum + 42.0)
-    leaf = syn.leaves[lid]
-    assert leaf.stats.count >= 1
-    # Every ancestor on the path saw the update.
-    for node in syn._paths()[lid]:
-        assert node.stats.max >= 42.0 or node.stats.count > 0
+    assert syn.root.stats.count == before_root.count + 1
+    assert syn.root.stats.sum == pytest.approx(before_root.sum + 42.0)
+    assert syn.leaves[lid].stats.count >= 1
+    # Every node on the root→leaf path saw the update, and no other node.
+    path = syn.tree.paths[lid]
+    assert path[0] == 0 and path[-1] == syn.tree.leaf_node[lid]
+    on = np.zeros(syn.tree.n_nodes, bool)
+    on[path] = True
+    np.testing.assert_array_equal(nodes.count - before_cnt, on.astype(float))
+    np.testing.assert_allclose(nodes.sum - before_sum, 42.0 * on, atol=1e-9)
+    assert (nodes.max[path] >= 42.0).all() and (nodes.pmin[path, 0] <= 100.0).all()
 
 
 def test_insert_extends_predicate_extents(syn):
@@ -57,6 +64,26 @@ def test_insert_reservoir_eventually_swaps(syn):
         syn.insert({"time": 0.0, "light": 123456.0}, rng=rng)
     _, sv = syn.samples[lid]
     assert (sv == 123456.0).any()
+
+
+def test_inserts_equal_a_rebuild():
+    """After inserts — some inside their leaf's value range and extents,
+    some beyond either — every node equals a tree built from all rows."""
+    rng = np.random.default_rng(5)
+    c, v = rng.uniform(0, 100, 500), rng.normal(10, 3, 500)
+    b = np.arange(10.0, 100.0, 10.0)
+    syn = synopsis_1d(c, v, b, 8)
+    new_c = np.concatenate([rng.uniform(0, 100, 200), [-5.0, 130.0, 55.0]])
+    new_v = np.concatenate([rng.normal(10, 3, 200), [1.0, 2.0, 99.0]])
+    for ci, vi in zip(new_c, new_v):
+        syn.insert({"c": ci, "a": vi}, rng)
+    all_c, all_v = np.concatenate([c, new_c]), np.concatenate([v, new_v])
+    lids = np.searchsorted(b, all_c, side="right")
+    want = build_tree(leaf_stats(all_c[:, None], all_v, lids, len(b) + 1), fanout=2).nodes
+    got = syn.tree.nodes
+    np.testing.assert_allclose(got.sum, want.sum, rtol=1e-12)
+    for a in ("count", "min", "max", "pmin", "pmax"):
+        np.testing.assert_array_equal(getattr(got, a), getattr(want, a))
 
 
 def test_insert_reservoir_sizes_stable(syn):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.tree import NodeStats
 from repro.core.variance import (
-    PartStats,
     PrefixStats,
     cal_v,
     hard_bounds,
@@ -14,6 +14,7 @@ from repro.core.variance import (
     max_var_query_sum_exact,
     stratum_estimate,
 )
+from tests.reference import stratum_estimate_one
 
 rng = np.random.default_rng(42)
 
@@ -21,10 +22,16 @@ rng = np.random.default_rng(42)
 # -- stratum_estimate ----------------------------------------------------
 
 
+def one(agg, v, m, n):
+    """``stratum_estimate`` over one stratum, as scalars."""
+    est, var, k = stratum_estimate(agg, v, m, [len(v)], [n])
+    return float(est[0]), float(var[0]), int(k[0])
+
+
 def test_full_sample_sum_is_exact():
     v = rng.random(100) * 7
     m = v > 3
-    est, var, k = stratum_estimate("sum", v, m, 100)
+    est, var, k = one("sum", v, m, 100)
     assert est == pytest.approx(v[m].sum())
     assert var == 0.0  # FPC kills the variance when K == N
 
@@ -32,7 +39,7 @@ def test_full_sample_sum_is_exact():
 def test_full_sample_count_is_exact():
     v = rng.random(80)
     m = v > 0.5
-    est, var, _ = stratum_estimate("count", v, m, 80)
+    est, var, _ = one("count", v, m, 80)
     assert est == pytest.approx(m.sum())
     assert var == 0.0
 
@@ -40,25 +47,25 @@ def test_full_sample_count_is_exact():
 def test_full_sample_avg_is_exact():
     v = rng.random(60)
     m = v > 0.2
-    est, var, k = stratum_estimate("avg", v, m, 60)
+    est, var, k = one("avg", v, m, 60)
     assert est == pytest.approx(v[m].mean())
     assert k == m.sum()
 
 
 def test_empty_sample():
-    est, var, k = stratum_estimate("sum", np.empty(0), np.empty(0, bool), 50)
+    est, var, k = one("sum", np.empty(0), np.empty(0, bool), 50)
     assert (est, var, k) == (0.0, 0.0, 0)
 
 
 def test_avg_no_match_is_nan():
     v = rng.random(10)
-    est, var, k = stratum_estimate("avg", v, np.zeros(10, bool), 100)
+    est, var, k = one("avg", v, np.zeros(10, bool), 100)
     assert np.isnan(est) and np.isnan(var) and k == 0
 
 
 def test_unsupported_agg():
     with pytest.raises(ValueError):
-        stratum_estimate("min", np.ones(3), np.ones(3, bool), 10)
+        one("min", np.ones(3), np.ones(3, bool), 10)
 
 
 def test_sum_estimator_unbiased():
@@ -70,7 +77,7 @@ def test_sum_estimator_unbiased():
         g = np.random.default_rng(s)
         idx = g.choice(2000, 100, replace=False)
         v = pop[idx]
-        est, _, _ = stratum_estimate("sum", v, v > 1, 2000)
+        est, _, _ = one("sum", v, v > 1, 2000)
         ests.append(est)
     assert np.mean(ests) == pytest.approx(truth, rel=0.05)
 
@@ -82,7 +89,7 @@ def test_count_ci_covers_truth_mostly():
     for s in range(200):
         g = np.random.default_rng(1000 + s)
         v = pop[g.choice(2000, 200, replace=False)]
-        est, var, _ = stratum_estimate("count", v, v > 0.7, 2000)
+        est, var, _ = one("count", v, v > 0.7, 2000)
         half = 1.96 * np.sqrt(var)
         hits += est - half <= truth <= est + half
     assert hits / 200 > 0.85  # nominal 95%, allow slack
@@ -90,31 +97,67 @@ def test_count_ci_covers_truth_mostly():
 
 def test_variance_shrinks_with_sample_size():
     pop = rng.normal(50, 10, 5000)
-    _, var_small, _ = stratum_estimate("sum", pop[:50], pop[:50] > 45, 5000)
-    _, var_big, _ = stratum_estimate("sum", pop[:1000], pop[:1000] > 45, 5000)
+    _, var_small, _ = one("sum", pop[:50], pop[:50] > 45, 5000)
+    _, var_big, _ = one("sum", pop[:1000], pop[:1000] > 45, 5000)
     assert var_big < var_small
 
 
-# -- PartStats / hard bounds --------------------------------------------
+def stratified(draw, sizes):
+    """Values and predicate matches of the sampled rows of every stratum,
+    stratum after stratum."""
+    rng = np.random.default_rng(draw)
+    v = rng.normal(3, 2, int(sum(sizes)))
+    m = rng.random(v.size) < rng.random()
+    return v, m
 
 
-def make_stats(vals):
-    v = np.asarray(vals, float)
-    return PartStats(v.sum(), v.size, v.min(), v.max())
+@settings(max_examples=200, deadline=None)
+@given(
+    draw=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(0, 6), max_size=8),
+    extra=st.lists(st.integers(0, 50), min_size=8, max_size=8),
+    agg=st.sampled_from(["sum", "count", "avg"]),
+)
+def test_segments_match_one_stratum_at_a_time(draw, sizes, extra, agg):
+    """One call over S strata equals S single-stratum estimates with
+    ``np.var(ddof=1)`` — including no strata, empty (K=0) and single-row
+    (K=1) strata, strata with no matching row, and 100% samples (N=K),
+    where the finite-population correction makes the variance 0."""
+    v, m = stratified(draw, sizes)
+    n = [k + e if e % 3 else k for k, e in zip(sizes, extra)]  # every third stratum is complete
+    est, var, k_pred = stratum_estimate(agg, v, m, sizes, n)
+    assert est.shape == var.shape == k_pred.shape == (len(sizes),)
+    start = 0
+    for i, k in enumerate(sizes):
+        e1, v1, p1 = stratum_estimate_one(agg, v[start : start + k], m[start : start + k], n[i])
+        start += k
+        assert k_pred[i] == p1
+        np.testing.assert_allclose([est[i], var[i]], [e1, v1], rtol=1e-12, atol=1e-12)
+        if n[i] == k:
+            assert var[i] == 0.0 or np.isnan(var[i])
 
 
-def test_partstats_merge():
-    a, b = make_stats([1, 2, 3]), make_stats([10, -1])
-    m = a.merge(b)
-    assert (m.sum, m.count, m.min, m.max) == (15, 5, -1, 10)
-    assert m.avg == pytest.approx(3.0)
+# -- hard bounds ------------------------------------------------------------
+
+
+def make_stats(*groups):
+    """Node arrays with one node per group of values (1-D extents unused)."""
+    nodes = NodeStats.empty(len(groups), 1)
+    for i, vals in enumerate(groups):
+        v = np.asarray(vals, float)
+        nodes.sum[i], nodes.count[i], nodes.min[i], nodes.max[i] = v.sum(), v.size, v.min(), v.max()
+    return nodes
+
+
+def bounds(agg, cov, par):
+    """``hard_bounds`` with covered groups ``cov`` and partial groups ``par``."""
+    nodes = make_stats(*cov, *par)
+    return hard_bounds(agg, nodes, np.arange(len(cov)), np.arange(len(cov), len(cov) + len(par)))
 
 
 @pytest.mark.parametrize("agg", ["sum", "count"])
 def test_hard_bounds_monotone_aggs(agg):
-    cov = [make_stats([1, 2]), make_stats([3])]
-    par = [make_stats([5, 5])]
-    lb, ub = hard_bounds(agg, cov, par)
+    lb, ub = bounds(agg, [[1, 2], [3]], [[5, 5]])
     if agg == "sum":
         assert (lb, ub) == (6, 16)
     else:
@@ -122,48 +165,57 @@ def test_hard_bounds_monotone_aggs(agg):
 
 
 def test_hard_bounds_avg():
-    cov = [make_stats([10, 20])]
-    par = [make_stats([0, 100])]
-    lb, ub = hard_bounds("avg", cov, par)
+    lb, ub = bounds("avg", [[10, 20]], [[0, 100]])
     assert lb == 0 and ub == 100
 
 
 def test_hard_bounds_avg_no_partial():
-    cov = [make_stats([10, 20])]
-    lb, ub = hard_bounds("avg", cov, [])
+    lb, ub = bounds("avg", [[10, 20]], [])
     assert lb == ub == pytest.approx(15)
 
 
 def test_hard_bounds_min_max():
-    cov = [make_stats([5, 9])]
-    par = [make_stats([1, 20])]
-    lb, ub = hard_bounds("min", cov, par)
+    lb, ub = bounds("min", [[5, 9]], [[1, 20]])
     assert lb == 1 and ub == 5
-    lb, ub = hard_bounds("max", cov, par)
+    lb, ub = bounds("max", [[5, 9]], [[1, 20]])
     assert lb == 9 and ub == 20
 
 
 def test_hard_bounds_min_only_partial():
-    par = [make_stats([1, 20]), make_stats([3, 7])]
-    lb, ub = hard_bounds("min", [], par)
+    lb, ub = bounds("min", [], [[1, 20], [3, 7]])
     assert lb == 1 and ub == 20
 
 
-@settings(max_examples=50, deadline=None)
+def test_hard_bounds_sum_signed_partial():
+    """A partial node with SUM −3 over three values in [−5, 1]: its subsets
+    sum anywhere from −5 ({−5}) to 2 ({1, 1}), so the bounds must hold both."""
+    nodes = NodeStats.empty(1, 1)
+    nodes.sum[0], nodes.count[0], nodes.min[0], nodes.max[0] = -3.0, 3.0, -5.0, 1.0
+    lb, ub = hard_bounds("sum", nodes, np.arange(0), np.arange(1))
+    assert (lb, ub) == (-15.0, 3.0)
+    assert lb <= -5 and 2 <= ub
+
+
+@settings(max_examples=100, deadline=None)
 @given(
-    cov=st.lists(st.lists(st.floats(0, 100), min_size=1, max_size=5), max_size=3),
-    par=st.lists(st.lists(st.floats(0, 100), min_size=1, max_size=5), max_size=3),
+    cov=st.lists(st.lists(st.floats(-100, 100), min_size=1, max_size=5), max_size=3),
+    par=st.lists(st.lists(st.floats(-100, 100), min_size=1, max_size=5), max_size=3),
+    pick=st.lists(st.booleans(), min_size=15, max_size=15),
 )
-def test_hard_bounds_always_contain_every_realisation_sum(cov, par):
+def test_hard_bounds_always_contain_every_realisation_sum(cov, par, pick):
     """For any subset of partial tuples actually matching, the true SUM
-    lies inside [lb, ub]."""
-    cov_s = [make_stats(v) for v in cov]
-    par_s = [make_stats(v) for v in par]
-    lb, ub = hard_bounds("sum", cov_s, par_s)
+    lies inside [lb, ub], for values of either sign; on non-negative values
+    the bounds are exactly [covered SUM, covered SUM + partial SUM]."""
+    lb, ub = bounds("sum", cov, par)
     base = sum(sum(v) for v in cov)
-    # extremes: no partial tuples match / all match
-    assert lb - 1e-9 <= base <= ub + 1e-9
-    assert lb - 1e-9 <= base + sum(sum(v) for v in par) <= ub + 1e-9
+    tuples = [t for v in par for t in v]
+    chosen = sum(t for t, p in zip(tuples, pick) if p)
+    tol = 1e-9 * (1 + sum(abs(t) for v in cov + par for t in v))
+    for got in (base, base + sum(tuples), base + chosen,
+                base + sum(t for t in tuples if t < 0), base + sum(t for t in tuples if t > 0)):
+        assert lb - tol <= got <= ub + tol
+    if all(t >= 0 for t in tuples):
+        assert lb == pytest.approx(base, abs=tol) and ub == pytest.approx(base + sum(tuples), abs=tol)
 
 
 # -- prefix stats & max-variance discretisation -------------------------
