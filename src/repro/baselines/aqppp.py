@@ -193,7 +193,7 @@ def build_kd_us(
         policy="us",
         seed=seed,
     )
-    df_leaf = spark_build.with_leaf_fn(df, pred_cols, kd.assign)
+    df_leaf = spark_build.with_leaf_fn(df, pred_cols, kd)
     agg_pdf = spark_build.leaf_aggregates(df_leaf, value_col, pred_cols)
     leaves = spark_build.leaves_from_aggregates(agg_pdf, pred_cols, kd.n_leaves)
     sample = spark_build.uniform_sample(df, value_col, pred_cols, k_sample, seed=seed)

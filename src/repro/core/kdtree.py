@@ -9,9 +9,11 @@ Two construction policies over an m-row optimisation sample:
   broken randomly.
 
 Each expansion splits a node at the per-dimension medians of its sample,
-giving fanout 2^d. Leaf ids are dense ints; :meth:`KDTree.assign` runs a
-vectorised descent suitable for the Arrow bucketing UDF in
-``spark_build.with_leaf_fn``.
+giving fanout 2^d. Leaf ids are dense ints. Once grown, the decision tree is
+also kept as flat pre-order arrays (a split matrix, a child table and each
+node's leaf id): :meth:`KDTree.assign` descends every row one level at a time
+over them, and ``spark_build.with_leaf_fn`` compiles the same arrays into
+one Spark SQL ``CASE`` expression.
 
 The per-leaf maximum-variance query is approximated with the same
 discretisations as 1-D (Appendix A.3/A.4): median-split halves for
@@ -108,9 +110,22 @@ class KDTree:
         self.balance_limit = balance_limit
         self.root = KDNode(idx=np.arange(len(self.a)), depth=0)
         self._grow(k_leaves, np.random.default_rng(seed))
-        self.leaves = [n for n in self._iter(self.root) if n.is_leaf]
+        nodes = list(self._iter(self.root))
+        self.leaves = [n for n in nodes if n.is_leaf]
         for i, leaf in enumerate(self.leaves):
             leaf.leaf_id = i
+        # The decision tree as arrays over the pre-order nodes. A leaf splits
+        # at +inf and is its own every child, so a row that reaches it stays.
+        pos = {id(n): i for i, n in enumerate(nodes)}
+        self.split = np.full((len(nodes), self.d), np.inf)
+        self.child = np.repeat(np.arange(len(nodes))[:, None], 1 << self.d, axis=1)
+        self.leaf_of = np.array([n.leaf_id for n in nodes], dtype=np.int64)
+        for i, n in enumerate(nodes):
+            if not n.is_leaf:
+                self.split[i] = n.split
+                self.child[i] = [pos[id(c)] for c in n.children]
+        self.height = max(n.depth for n in self.leaves)
+        self._weights = 1 << np.arange(self.d)
 
     # ------------------------------------------------------------------
 
@@ -175,23 +190,13 @@ class KDTree:
     # ------------------------------------------------------------------
 
     def assign(self, x: np.ndarray) -> np.ndarray:
-        """Vectorised descent: leaf id of every row of ``x`` (n, d)."""
+        """Leaf id of every row of ``x`` (n, d): all rows descend together,
+        one level at a time; child ``Σ_j [x_j > split_j]·2^j`` of a node."""
         x = np.asarray(x, dtype=np.float64)
-        out = np.empty(len(x), dtype=np.int64)
-        weights = 1 << np.arange(self.d)
-
-        def rec(node: KDNode, rows: np.ndarray) -> None:
-            if node.is_leaf:
-                out[rows] = node.leaf_id
-                return
-            codes = (x[rows] > node.split).astype(np.int64) @ weights
-            for c, child in enumerate(node.children):
-                sub = rows[codes == c]
-                if sub.size:
-                    rec(child, sub)
-
-        rec(self.root, np.arange(len(x)))
-        return out
+        node = np.zeros(len(x), dtype=np.int64)
+        for _ in range(self.height):
+            node = self.child[node, (x > self.split[node]) @ self._weights]
+        return self.leaf_of[node]
 
     @property
     def n_leaves(self) -> int:

@@ -11,10 +11,9 @@ Implemented algorithms, matching the paper's complexity table:
 
 * :func:`equal_depth_cuts` — the EQ baseline (equal-frequency strata),
   also the provably optimal partitioning for COUNT queries (Lemma A.1).
-* :func:`dp_exact` — the naive O(k·N⁴) DP with exhaustive query
-  enumeration; used only in tests as the gold partitioning.
 * :class:`ADP` — the ``**`` *sampling + discretisation* algorithm:
-  O(k·m·log m) DP using monotonicity binary search (Appendix A.5) and the
+  O(k·m·log m) DP using monotonicity binary search (Appendix A.5), run
+  for every row of a DP column at once over numpy index arrays, and the
   constant-size discretised query sets (Appendix A.3/A.4): median-split
   for SUM/COUNT, length-δm sliding-window maxima for AVG.
 """
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .variance import PrefixStats, cal_v, max_var_query_avg_exact, max_var_query_sum, max_var_query_sum_exact
+from .variance import cal_v
 
 
 def equal_depth_cuts(m: int, k: int) -> list[int]:
@@ -54,89 +53,43 @@ def assign_partitions(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Exact DP (tests / gold reference)
-# ---------------------------------------------------------------------------
-
-
-def dp_exact(a: np.ndarray, k: int, agg: str = "sum", min_len: int = 1) -> tuple[list[int], float]:
-    """The naive dynamic program with exhaustive query enumeration.
-
-    O(k·m⁴) — only usable for tiny m; serves as the gold standard the
-    approximate algorithms are tested against.
-    """
-    m = int(len(a))
-    k = min(k, m)
-    ps = PrefixStats(a)
-
-    def mvar(lo: int, hi: int) -> float:
-        if agg in ("sum", "count"):
-            return max_var_query_sum_exact(ps, lo, hi)
-        return max_var_query_avg_exact(ps, lo, hi, min_len=min_len)
-
-    INF = float("inf")
-    A = [[INF] * (k + 1) for _ in range(m + 1)]
-    B = [[0] * (k + 1) for _ in range(m + 1)]
-    A[0][0] = 0.0
-    for j in range(1, k + 1):
-        A[0][j] = 0.0
-    for i in range(1, m + 1):
-        A[i][1] = mvar(0, i - 1)
-        for j in range(2, k + 1):
-            best, arg = INF, j - 1
-            for h in range(j - 1, i):
-                v = max(A[h][j - 1], mvar(h, i - 1))
-                if v < best:
-                    best, arg = v, h
-            A[i][j] = best
-            B[i][j] = arg
-    cuts = [m]
-    i, j = m, k
-    while j > 1:
-        h = B[i][j]
-        cuts.append(h)
-        i, j = h, j - 1
-    cuts.append(0)
-    cuts = sorted(set(cuts))
-    return cuts, A[m][k]
-
-
-# ---------------------------------------------------------------------------
 # ADP: sampling + discretisation (the ** algorithm)
 # ---------------------------------------------------------------------------
 
 
 class _SparseArgmax:
-    """O(1) range-argmax over a static array (standard log-table)."""
+    """O(1) range-argmax over a static array (standard log-table).
+
+    ``table[j, p]`` is the first argmax of ``arr[p : p + 2**j]``, so a query
+    answers with the first argmax of its range, for scalars or index arrays.
+    """
 
     def __init__(self, arr: np.ndarray) -> None:
-        a = np.asarray(arr, dtype=np.float64)
+        self.a = a = np.asarray(arr, dtype=np.float64)
         n = a.size
-        self.n = n
-        if n == 0:
-            self.idx = []
-            return
-        levels = max(1, int(np.floor(np.log2(n))) + 1)
-        idx = [np.arange(n)]
         cur = np.arange(n)
-        self.a = a
-        for j in range(1, levels):
-            span = 1 << j
-            if span > n:
-                break
+        rows = [cur]
+        span = 2
+        while span <= n:
             left = cur[: n - span + 1]
             right = cur[span // 2 : n - span // 2 + 1][: n - span + 1]
-            take_right = a[right] > a[left]
-            cur = np.where(take_right, right, left)
-            idx.append(cur)
-        self.idx = idx
+            cur = np.where(a[right] > a[left], right, left)
+            rows.append(cur)
+            span *= 2
+        self.table = np.zeros((len(rows), n), dtype=np.int64)
+        for j, row in enumerate(rows):
+            self.table[j, : row.size] = row
+        #: floor(log2(span)) for every possible range length.
+        self.level = np.array([s.bit_length() - 1 for s in range(n + 1)], dtype=np.int64)
 
-    def argmax(self, lo: int, hi: int) -> int:
-        """argmax of arr over the inclusive range [lo, hi]."""
-        span = hi - lo + 1
-        j = span.bit_length() - 1
-        l = self.idx[j][lo]
-        r = self.idx[j][hi - (1 << j) + 1]
-        return int(r if self.a[r] > self.a[l] else l)
+    def argmax(self, lo, hi):
+        """argmax of arr over the inclusive range [lo, hi], elementwise."""
+        lo, hi = np.asarray(lo), np.asarray(hi)
+        j = self.level[hi - lo + 1]
+        left = self.table[j, lo]
+        right = self.table[j, hi - (1 << j) + 1]
+        out = np.where(self.a[right] > self.a[left], right, left)
+        return int(out) if out.ndim == 0 else out
 
 
 class ADP:
@@ -160,75 +113,88 @@ class ADP:
     def __init__(self, a: np.ndarray, k_max: int, agg: str = "sum", delta: float = 0.01) -> None:
         a = np.asarray(a, dtype=np.float64)
         self.m = m = int(a.size)
-        self.k_max = k_max = max(1, min(k_max, m))
+        self.k_max = max(1, min(k_max, m))
         self.agg = agg
-        self.ps = PrefixStats(a)
+        # Prefix sums of t and t²: Σ t over items [lo, hi] is s[hi+1] − s[lo].
+        self.s = np.concatenate([[0.0], np.cumsum(a)])
+        self.q = np.concatenate([[0.0], np.cumsum(a * a)])
+        self.sparse = None
         if agg == "avg":
             self.L = L = max(2, int(round(delta * m)))
             if m >= L:
-                csq = np.concatenate([[0.0], np.cumsum(a * a)])
-                cs = np.concatenate([[0.0], np.cumsum(a)])
-                # win[g] = Σ t² over [g−L+1, g], defined for g ∈ [L−1, m−1].
-                self.win_ssq = csq[L:] - csq[:-L]
-                self.win_sum = cs[L:] - cs[:-L]
+                # win[g] = Σ t² (Σ t) over the length-L window [g, g+L−1].
+                self.win_ssq = self.q[L:] - self.q[:-L]
+                self.win_sum = self.s[L:] - self.s[:-L]
                 self.sparse = _SparseArgmax(self.win_ssq)
-            else:
-                self.sparse = None
         self._solve()
 
     # -- discretised maximum-variance query inside candidate [lo, hi] ------
 
-    def mvar(self, lo: int, hi: int) -> float:
+    def mvar(self, lo, hi):
         """Approximate max query variance inside sample-index range
-        [lo, hi] (inclusive) using the O(1)/O(log m) discretised sets."""
-        if hi < lo:
-            return 0.0
-        if self.agg in ("sum", "count"):
-            return max_var_query_sum(self.ps, lo, hi)
-        # AVG: best length-L window fully inside [lo, hi].
-        L = self.L
+        [lo, hi] (inclusive) using the O(1) discretised sets; elementwise
+        over index arrays, a float for scalar indices."""
+        lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
         n = hi - lo + 1
-        if n < L or self.sparse is None:
-            return 0.0
-        g_lo, g_hi = lo + L - 1, hi  # window right endpoints, in win[] coords
-        g = self.sparse.argmax(g_lo - (L - 1), g_hi - (L - 1)) + (L - 1)
-        v = cal_v(n, self.win_ssq[g - (L - 1)], self.win_sum[g - (L - 1)])
-        return v / (L * L)
+        if self.agg in ("sum", "count"):
+            # Median split (Appendix A.3): q1 = [lo, mid−1], q2 = [mid, hi].
+            ok = n >= 2
+            mid = np.where(ok, lo + n // 2, lo)
+            end = np.where(ok, hi + 1, lo)
+            s, q = self.s, self.q
+            v = np.maximum(
+                cal_v(n, q[mid] - q[lo], s[mid] - s[lo]),
+                cal_v(n, q[end] - q[mid], s[end] - s[mid]),
+            )
+        elif self.sparse is None:
+            ok, v = np.zeros(n.shape, dtype=bool), np.zeros(n.shape)
+        else:
+            # AVG: the best length-L window fully inside [lo, hi].
+            L = self.L
+            ok = n >= L
+            g = self.sparse.argmax(np.where(ok, lo, 0), np.where(ok, hi - L + 1, 0))
+            v = cal_v(n, self.win_ssq[g], self.win_sum[g]) / (L * L)
+        out = np.where(ok, v, 0.0)
+        return float(out) if out.ndim == 0 else out
 
     # -- DP with monotonicity binary search (Appendix A.5) ------------------
 
     def _solve(self) -> None:
+        """Fill column j of the DP for every i at once: each i runs the same
+        binary search, in lockstep over index arrays."""
         m, k_max = self.m, self.k_max
-        mvar = self.mvar
-        A = [[0.0] * (k_max + 1) for _ in range(m + 1)]
-        B = [[0] * (k_max + 1) for _ in range(m + 1)]
-        for i in range(1, m + 1):
-            A[i][1] = mvar(0, i - 1)
+        A = np.zeros((m + 1, k_max + 1))
+        B = np.zeros((m + 1, k_max + 1), dtype=np.int64)
+        i = np.arange(1, m + 1)
+        A[i, 1] = self.mvar(np.zeros(m, dtype=np.int64), i - 1)
         for j in range(2, k_max + 1):
-            col_prev = j - 1
-            for i in range(1, m + 1):
-                if i <= j:
-                    # One item (or fewer) per partition — zero-variance cuts.
-                    A[i][j] = 0.0
-                    B[i][j] = i - 1
-                    continue
-                # A[h][j−1] is non-decreasing in h, mvar(h, i−1) is
-                # non-increasing: binary-search the crossing.
-                lo, hi = j - 1, i - 1
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if A[mid][col_prev] >= mvar(mid, i - 1):
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                best, arg = float("inf"), lo
-                for h in (lo - 1, lo, lo + 1):
-                    if j - 1 <= h <= i - 1:
-                        v = max(A[h][col_prev], mvar(h, i - 1))
-                        if v < best:
-                            best, arg = v, h
-                A[i][j] = best
-                B[i][j] = arg
+            prev = A[:, j - 1]
+            # One item (or fewer) per partition — zero-variance cuts.
+            few = np.arange(1, j + 1)
+            B[few, j] = few - 1
+            i = np.arange(j + 1, m + 1)
+            # A[h][j−1] is non-decreasing in h, mvar(h, i−1) is
+            # non-increasing: binary-search the crossing.
+            lo, hi = np.full(i.size, j - 1), i - 1
+            while True:
+                active = lo < hi
+                if not active.any():
+                    break
+                mid = (lo + hi) // 2
+                left = prev[mid] >= self.mvar(mid, i - 1)
+                hi = np.where(active & left, mid, hi)
+                lo = np.where(active & ~left, mid + 1, lo)
+            # The first strict minimum of the three candidates around it.
+            best, arg = np.full(i.size, np.inf), lo
+            for h in (lo - 1, lo, lo + 1):
+                inside = (j - 1 <= h) & (h <= i - 1)
+                hc = np.where(inside, h, lo)
+                v = np.maximum(prev[hc], self.mvar(hc, i - 1))
+                take = inside & (v < best)
+                best = np.where(take, v, best)
+                arg = np.where(take, h, arg)
+            A[i, j] = best
+            B[i, j] = arg
         self.A, self.B = A, B
 
     def cuts(self, k: int) -> tuple[list[int], float]:
@@ -237,9 +203,9 @@ class ADP:
         cuts = [self.m]
         i, j = self.m, k
         while j > 1 and i > 0:
-            h = self.B[i][j]
+            h = int(self.B[i, j])
             cuts.append(h)
             i, j = h, j - 1
         cuts.append(0)
         cuts = sorted(set(cuts))
-        return cuts, self.A[self.m][k]
+        return cuts, float(self.A[self.m, k])

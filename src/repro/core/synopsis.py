@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
 from . import spark_build
 from .kdtree import KDNode, KDTree
@@ -124,7 +125,7 @@ class PassSynopsis:
         b = np.asarray(boundaries, dtype=np.float64)
         return cls._finish(
             df_leaf, [pred_col], value_col, len(boundaries) + 1, None, sample_total,
-            alloc, fanout, sample_cols, seed, n_total, t0,
+            alloc, fanout, sample_cols, seed, t0,
             assign=lambda x: assign_partitions(np.asarray(x, float)[:, 0], b),
         )
 
@@ -148,18 +149,21 @@ class PassSynopsis:
         x = opt[pred_cols].to_numpy(dtype=np.float64)
         a = opt[value_col].to_numpy(dtype=np.float64)
         kd = KDTree(x, a, k_leaves, seed=seed)
-        df_leaf = spark_build.with_leaf_fn(df, pred_cols, kd.assign)
+        df_leaf = spark_build.with_leaf_fn(df, pred_cols, kd)
         return cls._finish(
             df_leaf, pred_cols, value_col, kd.n_leaves, kd, sample_total,
-            alloc, 2, sample_cols, seed, n_total, t0,
+            alloc, 2, sample_cols, seed, t0,
             assign=kd.assign,
         )
 
     @classmethod
     def _finish(
         cls, df_leaf, pred_cols, value_col, n_leaves, kd, sample_total,
-        alloc, fanout, sample_cols, seed, n_total, t0, assign,
+        alloc, fanout, sample_cols, seed, t0, assign,
     ) -> "PassSynopsis":
+        # A row whose value is NULL has nothing to aggregate: it is left out
+        # of the leaf aggregates, the samples and the row total alike.
+        df_leaf = df_leaf.where(F.col(value_col).isNotNull())
         agg_pdf = spark_build.leaf_aggregates(df_leaf, value_col, pred_cols)
         leaves = spark_build.leaves_from_aggregates(agg_pdf, pred_cols, n_leaves)
         if kd is None:
@@ -170,7 +174,7 @@ class PassSynopsis:
         sample_cols = list(sample_cols) if sample_cols is not None else list(pred_cols)
         sample_pdf = spark_build.stratified_sample(
             df_leaf, value_col, sample_cols,
-            {i: k for i, k in enumerate(k_per_leaf) if k > 0}, seed=seed,
+            {i: k for i, k in enumerate(k_per_leaf) if k > 0}, leaves.count, seed=seed,
         )
         samples: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for lid, grp in sample_pdf.groupby(spark_build.LEAF_COL):
@@ -179,7 +183,7 @@ class PassSynopsis:
                 grp[value_col].to_numpy(dtype=np.float64),
             )
         return cls(
-            tree, samples, pred_cols, value_col, n_total,
+            tree, samples, pred_cols, value_col, float(leaves.count.sum()),
             sample_cols=sample_cols,
             build_seconds=time.perf_counter() - t0, assign=assign,
         )

@@ -1,4 +1,4 @@
-"""φ-transform estimators, confidence intervals, hard bounds, prefix-sum 𝒱.
+"""φ-transform estimators, confidence intervals, hard bounds, 𝒱.
 
 Implements the estimator algebra of §2.1–§2.3:
 
@@ -9,9 +9,8 @@ Implements the estimator algebra of §2.1–§2.3:
 * :func:`hard_bounds` — the deterministic worst-case bounds of §2.3 from
   covered/partial partition aggregates (SUM/COUNT/AVG/MIN/MAX), for
   values of any sign.
-* :class:`PrefixStats` / :func:`cal_v` — O(1) range sums and the
-  𝒱_i(q) = n_i·Σt² − (Σt)² quantity of Appendix A.2 that every
-  partitioning algorithm maximises over candidate queries.
+* :func:`cal_v` — the 𝒱_i(q) = n_i·Σt² − (Σt)² quantity of Appendix A.2
+  that every partitioning algorithm maximises over candidate queries.
 """
 from __future__ import annotations
 
@@ -148,67 +147,6 @@ def hard_bounds(agg: str, nodes, covered: np.ndarray, partial: np.ndarray) -> tu
     raise ValueError(f"unsupported aggregate {agg!r}")
 
 
-class PrefixStats:
-    """Prefix sums of t and t² over a predicate-sorted value array.
-
-    Gives O(1) ``seg_sum``/``seg_ssq`` over index ranges — the machinery
-    behind every 𝒱 evaluation in the partitioning DP (Appendix A).
-    """
-
-    def __init__(self, values: np.ndarray) -> None:
-        v = np.asarray(values, dtype=np.float64)
-        self.n = int(v.size)
-        # Python-float lists: scalar indexing in the DP inner loop is much
-        # faster than numpy 0-d extraction.
-        self._s = np.concatenate([[0.0], np.cumsum(v)]).tolist()
-        self._q = np.concatenate([[0.0], np.cumsum(v * v)]).tolist()
-
-    def seg_sum(self, lo: int, hi: int) -> float:
-        """Σ t over the inclusive index range [lo, hi]."""
-        return self._s[hi + 1] - self._s[lo]
-
-    def seg_ssq(self, lo: int, hi: int) -> float:
-        """Σ t² over the inclusive index range [lo, hi]."""
-        return self._q[hi + 1] - self._q[lo]
-
-
 def cal_v(n_part: int, seg_ssq: float, seg_sum: float) -> float:
     """𝒱_i(q) = n_i·Σ_{h∈q} t_h² − (Σ_{h∈q} t_h)² (Appendix A.2)."""
     return n_part * seg_ssq - seg_sum * seg_sum
-
-
-def max_var_query_sum(ps: PrefixStats, lo: int, hi: int) -> float:
-    """Median-split approximation of the maximum-𝒱 SUM/COUNT query inside
-    the candidate partition [lo, hi] (Appendix A.3, Lemma A.3: a
-    4-approximation). Returns the approximated maximum 𝒱."""
-    n = hi - lo + 1
-    if n < 2:
-        return 0.0
-    mid = lo + n // 2  # q1 = [lo, mid-1], q2 = [mid, hi]
-    v1 = cal_v(n, ps.seg_ssq(lo, mid - 1), ps.seg_sum(lo, mid - 1))
-    v2 = cal_v(n, ps.seg_ssq(mid, hi), ps.seg_sum(mid, hi))
-    return max(v1, v2)
-
-
-def max_var_query_sum_exact(ps: PrefixStats, lo: int, hi: int) -> float:
-    """Exact maximum 𝒱 over every subinterval of [lo, hi] — O((hi−lo)²);
-    for tests and the naive DP only."""
-    n = hi - lo + 1
-    best = 0.0
-    for g in range(lo, hi + 1):
-        for w in range(g, hi + 1):
-            best = max(best, cal_v(n, ps.seg_ssq(g, w), ps.seg_sum(g, w)))
-    return best
-
-
-def max_var_query_avg_exact(ps: PrefixStats, lo: int, hi: int, min_len: int = 1) -> float:
-    """Exact maximum AVG-query variance (1/|q|²)·𝒱 over subintervals of
-    [lo, hi] with at least ``min_len`` items — O((hi−lo)²); tests only."""
-    n = hi - lo + 1
-    best = 0.0
-    for g in range(lo, hi + 1):
-        for w in range(g + min_len - 1, hi + 1):
-            q = w - g + 1
-            v = cal_v(n, ps.seg_ssq(g, w), ps.seg_sum(g, w)) / (q * q)
-            best = max(best, v)
-    return best

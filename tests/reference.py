@@ -1,11 +1,17 @@
-"""Brute-force references for the vectorised tree and estimator code, and a
-Spark-free way to build a :class:`PassSynopsis` from numpy arrays."""
+"""Brute-force references for the vectorised partitioner, tree, estimator and
+Spark build code, and a Spark-free way to build a :class:`PassSynopsis` from
+numpy arrays."""
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
+from pyspark.sql import Window
+from pyspark.sql import functions as F
 
+from repro.core.spark_build import LEAF_COL
 from repro.core.synopsis import PassSynopsis
 from repro.core.tree import NodeStats, Tree, build_tree
+from repro.core.variance import cal_v
 
 
 def leaf_stats(x: np.ndarray, v: np.ndarray, lids: np.ndarray, n_leaves: int) -> NodeStats:
@@ -112,3 +118,195 @@ def synopsis_1d(
             samples[lid] = (x[pick], v[pick])
     tree = build_tree(leaf_stats(x, v, lids, n_leaves), fanout=fanout)
     return PassSynopsis(tree, samples, ["c"], "a", len(v), assign=assign)
+
+
+# -- partitioning DP: scalar references ---------------------------------
+
+
+class PrefixStats:
+    """Prefix sums of t and t² over a predicate-sorted value array, with
+    O(1) ``seg_sum``/``seg_ssq`` over inclusive index ranges."""
+
+    def __init__(self, values: np.ndarray) -> None:
+        v = np.asarray(values, dtype=np.float64)
+        self.n = int(v.size)
+        self._s = np.concatenate([[0.0], np.cumsum(v)]).tolist()
+        self._q = np.concatenate([[0.0], np.cumsum(v * v)]).tolist()
+
+    def seg_sum(self, lo: int, hi: int) -> float:
+        """Σ t over the inclusive index range [lo, hi]."""
+        return self._s[hi + 1] - self._s[lo]
+
+    def seg_ssq(self, lo: int, hi: int) -> float:
+        """Σ t² over the inclusive index range [lo, hi]."""
+        return self._q[hi + 1] - self._q[lo]
+
+
+def max_var_query_sum(ps: PrefixStats, lo: int, hi: int) -> float:
+    """Median-split approximation of the maximum-𝒱 SUM/COUNT query inside
+    [lo, hi] (Appendix A.3, Lemma A.3: a 4-approximation)."""
+    n = hi - lo + 1
+    if n < 2:
+        return 0.0
+    mid = lo + n // 2  # q1 = [lo, mid-1], q2 = [mid, hi]
+    v1 = cal_v(n, ps.seg_ssq(lo, mid - 1), ps.seg_sum(lo, mid - 1))
+    v2 = cal_v(n, ps.seg_ssq(mid, hi), ps.seg_sum(mid, hi))
+    return max(v1, v2)
+
+
+def max_var_query_sum_exact(ps: PrefixStats, lo: int, hi: int) -> float:
+    """Exact maximum 𝒱 over every subinterval of [lo, hi] — O((hi−lo)²)."""
+    n = hi - lo + 1
+    best = 0.0
+    for g in range(lo, hi + 1):
+        for w in range(g, hi + 1):
+            best = max(best, cal_v(n, ps.seg_ssq(g, w), ps.seg_sum(g, w)))
+    return best
+
+
+def max_var_query_avg_exact(ps: PrefixStats, lo: int, hi: int, min_len: int = 1) -> float:
+    """Exact maximum AVG-query variance (1/|q|²)·𝒱 over subintervals of
+    [lo, hi] with at least ``min_len`` items — O((hi−lo)²)."""
+    n = hi - lo + 1
+    best = 0.0
+    for g in range(lo, hi + 1):
+        for w in range(g + min_len - 1, hi + 1):
+            q = w - g + 1
+            v = cal_v(n, ps.seg_ssq(g, w), ps.seg_sum(g, w)) / (q * q)
+            best = max(best, v)
+    return best
+
+
+def dp_exact(a: np.ndarray, k: int, agg: str = "sum", min_len: int = 1) -> tuple[list[int], float]:
+    """The naive O(k·m⁴) dynamic program with exhaustive query enumeration:
+    the gold partitioning the approximate algorithms are tested against."""
+    m = int(len(a))
+    k = min(k, m)
+    ps = PrefixStats(a)
+
+    def mvar(lo: int, hi: int) -> float:
+        if agg in ("sum", "count"):
+            return max_var_query_sum_exact(ps, lo, hi)
+        return max_var_query_avg_exact(ps, lo, hi, min_len=min_len)
+
+    INF = float("inf")
+    A = [[INF] * (k + 1) for _ in range(m + 1)]
+    B = [[0] * (k + 1) for _ in range(m + 1)]
+    A[0][0] = 0.0
+    for j in range(1, k + 1):
+        A[0][j] = 0.0
+    for i in range(1, m + 1):
+        A[i][1] = mvar(0, i - 1)
+        for j in range(2, k + 1):
+            best, arg = INF, j - 1
+            for h in range(j - 1, i):
+                v = max(A[h][j - 1], mvar(h, i - 1))
+                if v < best:
+                    best, arg = v, h
+            A[i][j] = best
+            B[i][j] = arg
+    cuts = [m]
+    i, j = m, k
+    while j > 1:
+        h = B[i][j]
+        cuts.append(h)
+        i, j = h, j - 1
+    cuts.append(0)
+    cuts = sorted(set(cuts))
+    return cuts, A[m][k]
+
+
+def adp_tables(a: np.ndarray, k_max: int, agg: str = "sum", delta: float = 0.01):
+    """ADP's DP tables ``(A, B)`` with the binary search of Appendix A.5 run
+    one row ``i`` at a time and one scalar ``mvar`` per probe, as lists."""
+    a = np.asarray(a, dtype=np.float64)
+    m = int(a.size)
+    k_max = max(1, min(k_max, m))
+    ps = PrefixStats(a)
+    L = max(2, int(round(delta * m)))
+    win_ssq = win_sum = None
+    if m >= L:
+        csq = np.concatenate([[0.0], np.cumsum(a * a)])
+        cs = np.concatenate([[0.0], np.cumsum(a)])
+        win_ssq, win_sum = csq[L:] - csq[:-L], cs[L:] - cs[:-L]
+
+    def mvar(lo: int, hi: int) -> float:
+        if hi < lo:
+            return 0.0
+        if agg in ("sum", "count"):
+            return max_var_query_sum(ps, lo, hi)
+        n = hi - lo + 1
+        if n < L or win_ssq is None:
+            return 0.0
+        g = lo + int(np.argmax(win_ssq[lo : hi - L + 2]))  # first best window
+        return cal_v(n, win_ssq[g], win_sum[g]) / (L * L)
+
+    A = [[0.0] * (k_max + 1) for _ in range(m + 1)]
+    B = [[0] * (k_max + 1) for _ in range(m + 1)]
+    for i in range(1, m + 1):
+        A[i][1] = mvar(0, i - 1)
+    for j in range(2, k_max + 1):
+        for i in range(1, m + 1):
+            if i <= j:
+                A[i][j], B[i][j] = 0.0, i - 1
+                continue
+            lo, hi = j - 1, i - 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if A[mid][j - 1] >= mvar(mid, i - 1):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            best, arg = float("inf"), lo
+            for h in (lo - 1, lo, lo + 1):
+                if j - 1 <= h <= i - 1:
+                    v = max(A[h][j - 1], mvar(h, i - 1))
+                    if v < best:
+                        best, arg = v, h
+            A[i][j], B[i][j] = best, arg
+    return A, B
+
+
+# -- Spark build path: the pandas-UDF bucketing and the window sampler ----
+
+
+def udf_leaf_1d(df, pred_col: str, boundaries: np.ndarray):
+    """Attach the 1-D leaf id with ``np.searchsorted`` in a pandas UDF."""
+    b = np.asarray(boundaries, dtype=np.float64)
+
+    @F.pandas_udf("long")
+    def bucket(v: pd.Series) -> pd.Series:
+        return pd.Series(np.searchsorted(b, v.to_numpy(dtype=np.float64), side="right"))
+
+    return df.withColumn(LEAF_COL, bucket(F.col(pred_col)))
+
+
+def udf_leaf_fn(df, pred_cols: list[str], assign):
+    """Attach the leaf id given by a vectorised (rows × d → ids) assigner,
+    run in a pandas UDF."""
+
+    @F.pandas_udf("long")
+    def bucket(*cols: pd.Series) -> pd.Series:
+        x = np.column_stack([c.to_numpy(dtype=np.float64) for c in cols])
+        return pd.Series(assign(x))
+
+    return df.withColumn(LEAF_COL, bucket(*[F.col(c) for c in pred_cols]))
+
+
+def window_sample(df_leaf, value_col: str, pred_cols: list[str], k_per_leaf: dict, seed: int = 0):
+    """Exact per-stratum samples by ranking every row of its leaf on
+    ``rand(seed)`` with a ``row_number()`` window and keeping rank ≤ K_i."""
+
+    spark = df_leaf.sparkSession
+    kmap = spark.createDataFrame(
+        pd.DataFrame({LEAF_COL: list(k_per_leaf), "__k": [int(v) for v in k_per_leaf.values()]})
+    )
+    w = Window.partitionBy(LEAF_COL).orderBy("__r")
+    out = (
+        df_leaf.withColumn("__r", F.rand(seed))
+        .withColumn("__rn", F.row_number().over(w))
+        .join(F.broadcast(kmap), on=LEAF_COL, how="inner")
+        .where(F.col("__rn") <= F.col("__k"))
+        .select(LEAF_COL, *pred_cols, value_col)
+    )
+    return out.toPandas()

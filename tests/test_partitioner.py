@@ -8,11 +8,11 @@ from repro.core.partitioner import (
     ADP,
     assign_partitions,
     cuts_to_boundaries,
-    dp_exact,
     equal_depth_cuts,
     _SparseArgmax,
 )
-from repro.core.variance import PrefixStats, max_var_query_sum_exact
+from repro.synth_data import nyc_taxi_pdf
+from tests.reference import PrefixStats, adp_tables, dp_exact, max_var_query_sum_exact
 
 rng = np.random.default_rng(7)
 
@@ -145,6 +145,47 @@ def test_adp_always_valid(vals, k):
     cuts, v = ADP(a, k, agg="sum").cuts(k)
     assert cuts[0] == 0 and cuts[-1] == len(a)
     assert v >= -1e-9
+
+
+def _values(kind: str, m: int, draw) -> np.ndarray:
+    """An m-item value array of one shape the DP meets in practice."""
+    if kind == "zero":
+        return np.zeros(m)
+    if kind == "constant":
+        return np.full(m, draw(st.floats(-50, 50, allow_subnormal=False)))
+    if kind == "duplicates":
+        pool = draw(st.lists(st.floats(-5, 100, allow_subnormal=False), min_size=1, max_size=3))
+        return np.asarray(draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m)))
+    return np.asarray(draw(st.lists(st.floats(-1e3, 1e4, allow_subnormal=False), min_size=m, max_size=m)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_adp_lockstep_equals_scalar_dp(data):
+    """The lockstep binary search fills the same DP tables, bit for bit, as
+    one scalar search per row ``i``."""
+    m = data.draw(st.integers(1, 120))
+    k = data.draw(st.integers(1, m + 2))
+    agg = data.draw(st.sampled_from(["sum", "count", "avg"]))
+    kind = data.draw(st.sampled_from(["random", "zero", "constant", "duplicates"]))
+    delta = data.draw(st.sampled_from([0.01, 0.05, 0.2]))
+    a = _values(kind, m, data.draw)
+    opt = ADP(a, k, agg=agg, delta=delta)
+    A, B = adp_tables(a, k, agg=agg, delta=delta)
+    assert np.array_equal(opt.A, np.asarray(A))
+    assert np.array_equal(opt.B, np.asarray(B))
+
+
+@pytest.mark.parametrize("agg", ["sum", "avg"])
+def test_adp_lockstep_equals_scalar_dp_at_build_scale(agg):
+    """The same on the 1,024-item optimisation-sample shape of a NYC build,
+    64 partitions."""
+    pdf = nyc_taxi_pdf(n=20000).sample(n=1024, random_state=0).sort_values("pickup_ts")
+    a = pdf["trip_distance"].to_numpy(np.float64)
+    A, B = adp_tables(a, 64, agg=agg)
+    opt = ADP(a, 64, agg=agg)
+    assert np.array_equal(opt.A, np.asarray(A))
+    assert np.array_equal(opt.B, np.asarray(B))
 
 
 # -- boundary mapping ----------------------------------------------------

@@ -1,13 +1,23 @@
-"""Spark build path: bucketing UDFs, groupBy aggregates (oracle-checked),
-stratified window sampling."""
+"""Spark build path: leaf ids compiled to SQL, groupBy aggregates
+(oracle-checked), threshold stratified sampling, NULL values; the leaf ids
+and samples are checked against the pandas-UDF bucketing and the window
+sampler they replace."""
+import duckdb
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
+from pyspark.sql import types as T
 
+from repro import synth_data
 from repro.core import spark_build
+from repro.core.kdtree import KDTree
+from repro.core.partitioner import assign_partitions
+from repro.core.query import Query
 from repro.core.spark_build import LEAF_COL
+from repro.core.synopsis import PassSynopsis
 from repro.oracle import assert_equivalent
+from tests.reference import udf_leaf_1d, udf_leaf_fn, window_sample
 
 
 @pytest.fixture(scope="module")
@@ -72,17 +82,24 @@ def test_leaves_from_aggregates_orders_and_fills(intel_leaf_df):
     assert leaves.count[5] == 0 and leaves.pmin[5, 0] == np.inf
 
 
-def test_stratified_sample_sizes_exact(intel_leaf_df):
+def leaf_sizes(pdf, col, b):
+    """N_i of every 1-D leaf: rows per ``searchsorted`` id."""
+    return np.bincount(np.searchsorted(b, pdf[col].to_numpy(), side="right"), minlength=len(b) + 1)
+
+
+def test_stratified_sample_sizes_exact(intel_leaf_df, intel_pdf):
     df, b = intel_leaf_df
     want = {0: 17, 1: 5, 2: 31, 3: 8}
-    s = spark_build.stratified_sample(df, "light", ["time"], want, seed=3)
+    s = spark_build.stratified_sample(df, "light", ["time"], want, leaf_sizes(intel_pdf, "time", b), seed=3)
     got = s.groupby(LEAF_COL).size().to_dict()
     assert got == want
 
 
-def test_stratified_sample_rows_belong_to_stratum(intel_leaf_df):
+def test_stratified_sample_rows_belong_to_stratum(intel_leaf_df, intel_pdf):
     df, b = intel_leaf_df
-    s = spark_build.stratified_sample(df, "light", ["time"], {0: 20, 3: 20}, seed=1)
+    s = spark_build.stratified_sample(
+        df, "light", ["time"], {0: 20, 3: 20}, leaf_sizes(intel_pdf, "time", b), seed=1
+    )
     ids = np.searchsorted(b, s["time"].to_numpy(), side="right")
     assert np.array_equal(ids, s[LEAF_COL].to_numpy())
 
@@ -91,7 +108,7 @@ def test_stratified_sample_caps_at_stratum_size(spark):
     pdf = pd.DataFrame({"c": np.arange(20.0), "v": np.arange(20.0)})
     df = spark.createDataFrame(pdf)
     dfl = spark_build.with_leaf_1d(df, "c", np.array([10.0]))
-    s = spark_build.stratified_sample(dfl, "v", ["c"], {0: 100, 1: 3}, seed=0)
+    s = spark_build.stratified_sample(dfl, "v", ["c"], {0: 100, 1: 3}, [10, 10], seed=0)
     sizes = s.groupby(LEAF_COL).size()
     assert sizes[0] == 10 and sizes[1] == 3
 
@@ -129,7 +146,7 @@ def test_with_leaf_fn_multidim(nyc_df, nyc_pdf):
     x = nyc_pdf[cols].to_numpy(float)
     a = nyc_pdf["trip_distance"].to_numpy(float)
     kd = KDTree(x, a, 16, policy="us")
-    dfl = spark_build.with_leaf_fn(nyc_df, cols, kd.assign)
+    dfl = spark_build.with_leaf_fn(nyc_df, cols, kd)
     got = dfl.select(*cols, LEAF_COL).toPandas()
     exp = kd.assign(got[cols].to_numpy(float))
     assert np.array_equal(got[LEAF_COL].to_numpy(), exp)
@@ -149,3 +166,164 @@ def test_tpch_groupby_oracle(nyc_df):
         "FROM nyc GROUP BY pickup_date",
         nyc=nyc_df,
     )
+
+
+# -- leaf ids at the edges: every boundary value, repeats, ±inf, NaN, NULL --
+
+
+def double_frame(spark, cols, rows):
+    """A frame of DOUBLE columns in which NaN stays NaN and None is NULL."""
+    schema = T.StructType([T.StructField(c, T.DoubleType()) for c in cols])
+    return spark.createDataFrame([tuple(None if x is None else float(x) for x in r) for r in rows], schema)
+
+
+def around(v: float) -> list[float]:
+    return [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+
+
+def test_with_leaf_1d_edges_match_searchsorted(spark):
+    """Every boundary value and its neighbours, a boundary repeated three
+    times (two empty leaves between), ±inf, ±0, NaN and NULL get the id
+    ``searchsorted(side='right')`` gives them."""
+    b = np.array([-1e300, -3.0, 1e-05, 0.1, 2.5, 2.5, 2.5, 7.0, 1.5e20])
+    vals = [x for v in b for x in around(float(v))]
+    vals += [-np.inf, np.inf, -0.0, 0.0, float("nan"), None]
+    df = double_frame(spark, ["c"], [(v,) for v in vals])
+    got = spark_build.with_leaf_1d(df, "c", b).toPandas()
+    exp = assign_partitions(got["c"].to_numpy(np.float64), b)
+    assert np.array_equal(got[LEAF_COL].to_numpy(), exp)
+    assert {0, len(b)} <= set(exp) and not {5, 6} & set(exp)
+
+
+def test_with_leaf_1d_single_leaf(spark):
+    df = double_frame(spark, ["c"], [(1.0,), (None,), (-np.inf,)])
+    got = spark_build.with_leaf_1d(df, "c", np.array([])).toPandas()
+    assert got[LEAF_COL].tolist() == [0, 0, 0]
+
+
+def test_with_leaf_fn_edges_match_kd_assign(spark):
+    """Every split value of every internal node, its neighbours, ±inf, NaN
+    and NULL in each dimension get the id ``KDTree.assign`` gives them, on
+    a duplicate-heavy first dimension."""
+    g = np.random.default_rng(5)
+    x = np.column_stack([g.integers(0, 6, 600), g.normal(0, 1, 600)]).astype(np.float64)
+    kd = KDTree(x, g.lognormal(0, 1, 600), 16, policy="us")
+    splits = kd.split[kd.leaf_of < 0]
+    assert len(splits) > 1
+    rows = [(a, b) for s in splits for a in around(s[0]) for b in around(s[1])]
+    rows += [(a, b) for a in splits[:, 0] for b in splits[:, 1]]
+    odd = [-np.inf, np.inf, float("nan"), None]
+    rows += [(a, 0.0) for a in odd] + [(3.0, b) for b in odd] + [(None, float("nan"))]
+    df = double_frame(spark, ["p", "q"], rows)
+    got = spark_build.with_leaf_fn(df, ["p", "q"], kd).toPandas()
+    exp = kd.assign(got[["p", "q"]].to_numpy(np.float64))
+    assert np.array_equal(got[LEAF_COL].to_numpy(), exp)
+
+
+# -- the threshold sampler picks the window's rows, in the same order --------
+
+
+def same_samples(new: pd.DataFrame, old: pd.DataFrame, cols: list[str]) -> None:
+    """Leaf by leaf, the same rows in the same order."""
+    assert sorted(new[LEAF_COL].unique()) == sorted(old[LEAF_COL].unique())
+    by_leaf = dict(list(old.groupby(LEAF_COL)))
+    for lid, grp in new.groupby(LEAF_COL):
+        assert np.array_equal(grp[cols].to_numpy(np.float64), by_leaf[lid][cols].to_numpy(np.float64))
+
+
+@pytest.fixture(scope="module")
+def intel_leaves(intel_df, intel_pdf):
+    """Intel split at 8 quantiles: the compiled ids, the UDF ids, N_i, and
+    K_i with leaf 2 sampled whole (K_i = N_i)."""
+    b = np.quantile(intel_pdf["time"], np.linspace(0, 1, 9)[1:-1])
+    n = np.bincount(assign_partitions(intel_pdf["time"].to_numpy(), b), minlength=8)
+    k = {i: 20 + 3 * i for i in range(8)}
+    k[2] = int(n[2])
+    new = spark_build.with_leaf_1d(intel_df, "time", b)
+    return new, udf_leaf_1d(intel_df, "time", b), n, k
+
+
+@pytest.fixture(scope="module")
+def nyc_leaves(nyc_df, nyc_pdf):
+    """A 3-D KD-PASS tree over NYC, with the same roles as ``intel_leaves``."""
+    cols = synth_data.NYC_PREDICATES[:3]
+    kd = KDTree(nyc_pdf[cols].to_numpy(np.float64), nyc_pdf["trip_distance"].to_numpy(np.float64), 32)
+    n = np.bincount(kd.assign(nyc_pdf[cols].to_numpy(np.float64)), minlength=kd.n_leaves)
+    k = {i: 15 + i for i in range(kd.n_leaves) if n[i] > 0}
+    k[int(np.argmax(n > 0))] = int(n[n > 0][0])
+    new = spark_build.with_leaf_fn(nyc_df, cols, kd)
+    return new, udf_leaf_fn(nyc_df, cols, kd.assign), n, k
+
+
+@pytest.mark.parametrize("data,value,cols", [
+    ("intel_leaves", "light", ["time"]),
+    ("nyc_leaves", "trip_distance", synth_data.NYC_PREDICATES[:3] + ["dropoff_time"]),
+])
+def test_threshold_sample_equals_window(request, data, value, cols):
+    new_leaf, udf_leaf, n, k = request.getfixturevalue(data)
+    new = spark_build.stratified_sample(new_leaf, value, cols, k, n, seed=11)
+    old = window_sample(udf_leaf, value, cols, k, seed=11)
+    assert len(new) == sum(k.values())
+    same_samples(new, old, cols + [value])
+
+
+@pytest.mark.parametrize("data,value,cols", [
+    ("intel_leaves", "light", ["time"]),
+    ("nyc_leaves", "trip_distance", synth_data.NYC_PREDICATES[:3]),
+])
+def test_threshold_sample_top_up_equals_window(request, data, value, cols):
+    """Thresholds far too small leave nearly every leaf short; the top-up
+    scan must still give the window's rows."""
+    new_leaf, udf_leaf, n, k = request.getfixturevalue(data)
+    k_arr = np.zeros(len(n), dtype=np.int64)
+    k_arr[list(k)] = list(k.values())
+    t = np.where(k_arr > 0, 0.002, 0.0)
+    new = spark_build._smallest_draws(new_leaf, [LEAF_COL, *cols, value], k_arr, t, 4)
+    old = window_sample(udf_leaf, value, cols, k, seed=4)
+    assert len(new) == k_arr.sum()
+    same_samples(new, old, cols + [value])
+
+
+# -- NULL aggregation values -----------------------------------------------
+
+
+def test_null_values_left_out_of_synopsis(spark):
+    """Rows whose value is NULL are in no leaf aggregate, no sample and not
+    in the row total: leaf SUM/COUNT/MIN/MAX and extents equal DuckDB's
+    ``WHERE v IS NOT NULL GROUP BY leaf``, and a covered AVG equals SQL AVG."""
+    g = np.random.default_rng(9)
+    n = 3000
+    c = g.integers(0, 500, n).astype(np.float64)
+    v = g.lognormal(0, 1, n)
+    null = g.random(n) < 0.2
+    df = double_frame(spark, ["c", "v"], [(ci, None if z else vi) for ci, vi, z in zip(c, v, null)])
+    syn = PassSynopsis.build_1d(df, "c", "v", k_partitions=8, sample_total=400, m_opt=256, seed=3)
+    t = pd.DataFrame({"c": c, "v": pd.array(np.where(null, None, v), dtype="Float64")})
+    t["leaf"] = syn.assign(c[:, None])
+    con = duckdb.connect()
+    try:
+        con.register("t", t)
+        rows = con.execute(
+            "SELECT leaf, SUM(v), COUNT(*), MIN(v), MAX(v), MIN(c), MAX(c) "
+            "FROM t WHERE v IS NOT NULL GROUP BY leaf"
+        ).fetchall()
+        sql_avg = con.execute("SELECT AVG(v) FROM t WHERE c BETWEEN 100 AND 300").fetchone()[0]
+    finally:
+        con.close()
+    assert syn.n_total == n - null.sum()
+    assert sum(r[2] for r in rows) == syn.n_total
+    for leaf, s, cnt, lo, hi, cmin, cmax in rows:
+        node = syn.leaves[leaf]
+        assert node.stats.sum == pytest.approx(s, rel=1e-12)
+        assert (node.stats.count, node.stats.min, node.stats.max) == (cnt, lo, hi)
+        assert (node.pred_min[0], node.pred_max[0]) == (cmin, cmax)
+    assert not any(np.isnan(sv).any() for _, sv in syn.samples.values())
+    for m in (256, n):  # a Bernoulli sample, and every row
+        opt = spark_build.optimization_sample(df, "v", ["c"], m, n, seed=3)
+        assert len(opt) and not opt["v"].isna().any()
+    # The whole domain covers the root: AVG is answered from exact aggregates.
+    root = syn.answer(Query("avg", ("c",), (-1.0,), (1000.0,)))
+    assert root.est == pytest.approx(float(np.mean(v[~null])), rel=1e-12)
+    # The same through SQL over a range that cuts leaves, via the hard bounds.
+    part = syn.answer(Query("avg", ("c",), (100.0,), (300.0,)))
+    assert part.lb <= sql_avg <= part.ub

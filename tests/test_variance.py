@@ -5,16 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.tree import NodeStats
-from repro.core.variance import (
+from repro.core.variance import cal_v, hard_bounds, stratum_estimate
+from tests.reference import (
     PrefixStats,
-    cal_v,
-    hard_bounds,
     max_var_query_avg_exact,
     max_var_query_sum,
     max_var_query_sum_exact,
-    stratum_estimate,
+    stratum_estimate_one,
 )
-from tests.reference import stratum_estimate_one
 
 rng = np.random.default_rng(42)
 
