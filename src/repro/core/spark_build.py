@@ -7,24 +7,34 @@ DataFrame/Catalyst API, and no Python code runs per row:
   expression: a balanced ``CASE`` over the 1-D boundaries, equal to
   ``np.searchsorted(side='right')``, or for a k-d tree a ``CASE`` per split
   dimension under each internal node, equal to :meth:`KDTree.assign`;
-* per-leaf aggregates — one ``groupBy("leaf_id").agg(...)`` computing
-  SUM/COUNT/MIN/MAX of the aggregation column plus the per-dimension
-  min/max of every predicate column (the data extents the MCF classifier
-  uses);
+* per-leaf aggregates and sample candidates in one job — one
+  ``groupBy("leaf_id").agg(...)`` computes SUM/COUNT/MIN/MAX of the
+  aggregation column plus the per-dimension min/max of every predicate
+  column (the data extents the MCF classifier uses), and, for a PASS build,
+  collects per leaf the sampled columns of the rows whose ``rand(seed)``
+  draw is under a per-leaf threshold, as lists of primitive values;
 * stratified sampling — exact per-stratum sample sizes without a shuffle:
-  every row draws ``rand(seed)``, one scan keeps the rows whose draw is
-  under a per-leaf threshold set from the exact leaf size, and the driver
-  keeps the K_i smallest draws of each leaf.
+  the driver keeps the K_i smallest draws of each leaf from those
+  candidates. The thresholds are set before the leaf sizes are known, from
+  the optimisation sample; a leaf that comes back short (or every leaf, when
+  there were no thresholds) is scanned again, so the sample is the K_i
+  smallest draws whatever the thresholds were.
 
-The collected outputs are tiny (k rows of aggregates, about K sampled
-rows); query answering then runs driver-side over the synopsis, which is
-the point of a synopsis structure.
+Each job runs with Spark's huge-method limit at HotSpot's 8,000-byte JIT
+limit (:func:`jit_sized_methods`): the k-d ``CASE`` would otherwise compile
+into one generated method too large to JIT.
+
+The collected outputs are tiny (k rows of aggregates, a few times K
+candidate rows); query answering then runs driver-side over the synopsis,
+which is the point of a synopsis structure.
 """
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
@@ -33,6 +43,9 @@ from .tree import NodeStats
 
 LEAF_COL = "__leaf_id"
 _DRAW = "__r"
+_KEEP = "__keep"
+_HUGE_METHOD = "spark.sql.codegen.hugeMethodLimit"
+_JIT_LIMIT = 8000
 
 
 def _double(x: float) -> str:
@@ -91,18 +104,74 @@ def with_leaf_fn(df: DataFrame, pred_cols: list[str], kd: KDTree) -> DataFrame:
     return df.withColumn(LEAF_COL, F.expr(node(0)).cast("long"))
 
 
-def leaf_aggregates(df_leaf: DataFrame, value_col: str, pred_cols: list[str]) -> pd.DataFrame:
-    """Exact per-leaf aggregates: the single groupBy of the build path."""
-    aggs = [
-        F.sum(value_col).alias("agg_sum"),
-        F.count(F.lit(1)).alias("agg_count"),
-        F.min(value_col).alias("agg_min"),
-        F.max(value_col).alias("agg_max"),
-    ]
+@contextlib.contextmanager
+def jit_sized_methods(spark: SparkSession):
+    """Run the block with ``spark.sql.codegen.hugeMethodLimit`` at most 8,000
+    bytes, HotSpot's limit on the bytecode of a method it compiles, and put
+    the setting back exactly as it was afterwards (also on an exception).
+
+    Under whole-stage codegen a k-d leaf-id ``CASE`` becomes one Java method
+    over that limit, which the JVM then only interprets. With the limit set,
+    Spark falls back to per-expression codegen for such a stage instead. A
+    lower limit the caller set is kept.
+    """
+    old = spark.conf.get(_HUGE_METHOD, None)
+    spark.conf.set(_HUGE_METHOD, str(_JIT_LIMIT if old is None else min(_JIT_LIMIT, int(old))))
+    try:
+        yield
+    finally:
+        if old is None:
+            spark.conf.unset(_HUGE_METHOD)
+        else:
+            spark.conf.set(_HUGE_METHOD, old)
+
+
+def _by_leaf(values: np.ndarray) -> str:
+    """``values[leaf id]`` of the current row, as Spark SQL."""
+    return f"array({', '.join(map(_double, values))})[{LEAF_COL}]"
+
+
+def _sample_value(col: str) -> str:
+    """A sampled column as DOUBLE, NULL as NaN, as Spark SQL."""
+    return f"coalesce(CAST({_name(col)} AS DOUBLE), {_double(float('nan'))})"
+
+
+def leaf_aggregates(
+    df_leaf: DataFrame,
+    value_col: str,
+    pred_cols: list[str],
+    sample_cols: list[str] = (),
+    thresholds: np.ndarray | None = None,
+    seed: int = 0,
+) -> pd.DataFrame:
+    """Exact per-leaf aggregates: the single groupBy of the build path.
+
+    With ``thresholds`` (one per leaf id) the same job also draws
+    ``rand(seed)`` for every row, in a projection straight over ``df_leaf``,
+    and collects for each leaf i, as lists of primitive values, the draw
+    (column ``__r``) and each of ``sample_cols`` (column ``sample_<col>``)
+    of the rows whose draw is under ``thresholds[i]``: the candidates of
+    :func:`stratified_sample`.
+    """
+    # Spark SQL strings: each Column built through the Python API costs a
+    # round trip to the JVM, an SQL string one for the whole expression.
+    v = _name(value_col)
+    aggs = [f"sum({v}) AS agg_sum", "count(1) AS agg_count", f"min({v}) AS agg_min", f"max({v}) AS agg_max"]
     for c in pred_cols:
-        aggs.append(F.min(c).alias(f"pmin_{c}"))
-        aggs.append(F.max(c).alias(f"pmax_{c}"))
-    return df_leaf.groupBy(LEAF_COL).agg(*aggs).toPandas()
+        aggs += [f"{f}({_name(c)}) AS {_name(f'p{f}_{c}')}" for f in ("min", "max")]
+    rows = df_leaf
+    if thresholds is not None:
+        # The test is its own column so that the plan is analysed with it
+        # once, not once per list.
+        rows = df_leaf.selectExpr("*", f"rand({int(seed)}L) AS {_DRAW}").selectExpr(
+            "*", f"{_DRAW} < {_by_leaf(thresholds)} AS {_KEEP}"
+        )
+        aggs.append(f"collect_list(IF({_KEEP}, {_DRAW}, NULL)) AS {_DRAW}")
+        for c in sample_cols:
+            keep = f"IF({_KEEP}, {_sample_value(c)}, NULL)"
+            aggs.append(f"collect_list({keep}) AS {_name('sample_' + c)}")
+    with jit_sized_methods(df_leaf.sparkSession):
+        return rows.groupBy(LEAF_COL).agg(*map(F.expr, aggs)).toPandas()
 
 
 def leaves_from_aggregates(
@@ -120,55 +189,52 @@ def leaves_from_aggregates(
 
 
 def stratified_sample(
-    df_leaf: DataFrame,
-    value_col: str,
-    pred_cols: list[str],
-    k_per_leaf: dict[int, int],
-    n_per_leaf,
-    seed: int = 0,
+    df_leaf: DataFrame, sample_cols: list[str], candidates: pd.DataFrame, k: np.ndarray, seed: int = 0
 ) -> pd.DataFrame:
-    """Exact per-stratum uniform samples: the K_i rows of leaf i with the
-    smallest ``rand(seed)`` draws, in draw order.
+    """Exact per-stratum uniform samples: the ``k[i]`` rows of each leaf i
+    with the smallest ``rand(seed)`` draws, leaf by leaf in draw order, as
+    leaf id + ``sample_cols`` (DOUBLE, NULL as NaN).
 
-    ``k_per_leaf`` maps leaf id → K_i; ``n_per_leaf[i]`` is N_i, the exact
-    size of leaf i (from :func:`leaf_aggregates`). One scan keeps the rows
-    drawing under t_i = min(1, (K_i + 4√K_i + 10)/N_i): about K_i + 4√K_i
-    + 10 rows a leaf, 4 or more standard deviations above K_i, so about 1
-    leaf in 30,000 or fewer needs the top-up scan of :func:`_smallest_draws`.
-    Returns leaf_id + predicate columns + value column.
+    ``candidates`` is what :func:`leaf_aggregates` returned for ``df_leaf``
+    with ``sample_cols``, the same seed and, if any, thresholds; ``k[i]`` must
+    not exceed the size of leaf i. The rows under a threshold include the
+    leaf's smallest draws whenever there are at least ``k[i]`` of them. A
+    leaf with fewer is scanned again (one more Spark job), keeping the rows
+    under min(1, (K_i + 4√K_i + 10)/N_i) with its exact size N_i, 4 or more
+    standard deviations above K_i; one still short then keeps every row. So
+    the sample never depends on the thresholds. Every scan draws in a
+    projection straight over ``df_leaf``, so each row has the same draw in
+    all of them.
     """
-    n = np.asarray(n_per_leaf, dtype=np.float64)
-    k = np.zeros(len(n), dtype=np.int64)
-    for i, k_i in k_per_leaf.items():
-        k[i] = min(int(k_i), int(n[i]))
-    t = np.minimum(1.0, (k + 4.0 * np.sqrt(k) + 10.0) / np.maximum(n, 1.0))
-    return _smallest_draws(df_leaf, [LEAF_COL, *pred_cols, value_col], k, np.where(k > 0, t, 0.0), seed)
-
-
-def _smallest_draws(
-    df_leaf: DataFrame, cols: list[str], k: np.ndarray, t: np.ndarray, seed: int
-) -> pd.DataFrame:
-    """``cols`` of the ``k[i]`` rows of each leaf i with the smallest
-    ``rand(seed)`` draws, leaf by leaf in draw order.
-
-    A scan keeps the rows whose draw is under ``t[i]``; a leaf that kept
-    fewer than ``k[i]`` rows (``k[i]`` must not exceed its size) is scanned
-    again with every row kept. The draw is made in a projection straight
-    over ``df_leaf``, so both scans see the same draw for each row.
-    """
-    drawn = df_leaf.select(*cols, F.rand(seed).alias(_DRAW))
-
     def scan(limit: np.ndarray) -> pd.DataFrame:
-        under = f"{_DRAW} < array({', '.join(map(_double, limit))})[{LEAF_COL}]"
-        return drawn.where(F.expr(under)).toPandas()
+        drawn = df_leaf.selectExpr(
+            LEAF_COL, *[f"{_sample_value(c)} AS {_name(c)}" for c in sample_cols],
+            f"rand({int(seed)}L) AS {_DRAW}",
+        )
+        with jit_sized_methods(df_leaf.sparkSession):
+            return drawn.where(f"{_DRAW} < {_by_leaf(limit)}").toPandas()
 
-    rows = scan(t)
-    short = np.bincount(rows[LEAF_COL], minlength=len(k)) < k
-    if short.any():
-        rows = pd.concat([rows[~short[rows[LEAF_COL].to_numpy()]], scan(short.astype(np.float64))])
+    ids = candidates[LEAF_COL].to_numpy(np.int64)
+    lists = {_DRAW: _DRAW, **{c: f"sample_{c}" for c in sample_cols}}
+    if _DRAW in candidates:
+        sizes = candidates[_DRAW].map(len).to_numpy()
+        rows = pd.DataFrame({LEAF_COL: np.repeat(ids, sizes)})
+        for name, col in lists.items():
+            rows[name] = np.concatenate([[], *candidates[col]]).astype(np.float64)
+    else:  # aggregates only: every sampled leaf is scanned
+        rows = pd.DataFrame({LEAF_COL: np.zeros(0, np.int64), **{name: np.zeros(0) for name in lists}})
+    n = np.zeros(len(k))
+    n[ids] = candidates["agg_count"].to_numpy(np.float64)
+    exact = np.minimum(1.0, (k + 4.0 * np.sqrt(k) + 10.0) / np.maximum(n, 1.0))
+    for limit in (exact, 1.0):
+        short = np.bincount(rows[LEAF_COL], minlength=len(k)) < k
+        if not short.any():
+            break
+        kept = rows[~short[rows[LEAF_COL].to_numpy()]]
+        rows = pd.concat([kept, scan(np.where(short, limit, 0.0))])
     rows = rows.sort_values([LEAF_COL, _DRAW], kind="stable")
     rank = rows.groupby(LEAF_COL).cumcount().to_numpy()
-    return rows[rank < k[rows[LEAF_COL].to_numpy()]][cols].reset_index(drop=True)
+    return rows[rank < k[rows[LEAF_COL].to_numpy()]][[LEAF_COL, *sample_cols]].reset_index(drop=True)
 
 
 def uniform_sample(

@@ -107,10 +107,11 @@ class PassSynopsis:
         seed: int = 0,
     ) -> "PassSynopsis":
         t0 = time.perf_counter()
-        n_total = df.count()
+        n_rows = df.count()
+        opt_leaves = None
         if boundaries is None:
             opt = spark_build.optimization_sample(
-                df, value_col, [pred_col], m_opt, n_total, seed=seed
+                df, value_col, [pred_col], m_opt, n_rows, seed=seed
             )
             a = opt[value_col].to_numpy(dtype=np.float64)
             c = opt[pred_col].to_numpy(dtype=np.float64)
@@ -121,11 +122,12 @@ class PassSynopsis:
             else:
                 raise ValueError(f"unknown partitioner {partitioner!r}")
             boundaries = cuts_to_boundaries(c, cuts)
+            opt_leaves = assign_partitions(c, boundaries)
         df_leaf = spark_build.with_leaf_1d(df, pred_col, boundaries)
         b = np.asarray(boundaries, dtype=np.float64)
         return cls._finish(
             df_leaf, [pred_col], value_col, len(boundaries) + 1, None, sample_total,
-            alloc, fanout, sample_cols, seed, t0,
+            alloc, fanout, sample_cols, seed, t0, n_rows, opt_leaves,
             assign=lambda x: assign_partitions(np.asarray(x, float)[:, 0], b),
         )
 
@@ -144,44 +146,48 @@ class PassSynopsis:
         seed: int = 0,
     ) -> "PassSynopsis":
         t0 = time.perf_counter()
-        n_total = df.count()
-        opt = spark_build.optimization_sample(df, value_col, pred_cols, m_opt, n_total, seed=seed)
+        n_rows = df.count()
+        opt = spark_build.optimization_sample(df, value_col, pred_cols, m_opt, n_rows, seed=seed)
         x = opt[pred_cols].to_numpy(dtype=np.float64)
         a = opt[value_col].to_numpy(dtype=np.float64)
         kd = KDTree(x, a, k_leaves, seed=seed)
         df_leaf = spark_build.with_leaf_fn(df, pred_cols, kd)
         return cls._finish(
             df_leaf, pred_cols, value_col, kd.n_leaves, kd, sample_total,
-            alloc, 2, sample_cols, seed, t0,
+            alloc, 2, sample_cols, seed, t0, n_rows, kd.assign(x),
             assign=kd.assign,
         )
 
     @classmethod
     def _finish(
         cls, df_leaf, pred_cols, value_col, n_leaves, kd, sample_total,
-        alloc, fanout, sample_cols, seed, t0, assign,
+        alloc, fanout, sample_cols, seed, t0, n_rows, opt_leaves, assign,
     ) -> "PassSynopsis":
         # A row whose value is NULL has nothing to aggregate: it is left out
         # of the leaf aggregates, the samples and the row total alike.
         df_leaf = df_leaf.where(F.col(value_col).isNotNull())
-        agg_pdf = spark_build.leaf_aggregates(df_leaf, value_col, pred_cols)
+        sample_cols = list(sample_cols) if sample_cols is not None else list(pred_cols)
+        drawn = [*sample_cols, value_col]
+        # One job: the leaf aggregates, and the candidate rows of the samples.
+        # Without an optimisation sample there is nothing to set thresholds
+        # from: the aggregates come alone, and the sample from one more scan.
+        thresholds = None
+        if opt_leaves is not None:
+            thresholds = sample_thresholds(n_rows, opt_leaves, n_leaves, sample_total, alloc)
+        agg_pdf = spark_build.leaf_aggregates(df_leaf, value_col, pred_cols, drawn, thresholds, seed)
         leaves = spark_build.leaves_from_aggregates(agg_pdf, pred_cols, n_leaves)
         if kd is None:
             tree = build_tree(leaves, fanout=fanout)
         else:
             tree = _tree_from_kd(kd.root, leaves)
-        k_per_leaf = allocate_budget(leaves.count.tolist(), sample_total, alloc)
-        sample_cols = list(sample_cols) if sample_cols is not None else list(pred_cols)
-        sample_pdf = spark_build.stratified_sample(
-            df_leaf, value_col, sample_cols,
-            {i: k for i, k in enumerate(k_per_leaf) if k > 0}, leaves.count, seed=seed,
-        )
-        samples: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for lid, grp in sample_pdf.groupby(spark_build.LEAF_COL):
-            samples[int(lid)] = (
-                grp[sample_cols].to_numpy(dtype=np.float64),
-                grp[value_col].to_numpy(dtype=np.float64),
-            )
+        k_per_leaf = np.array(allocate_budget(leaves.count.tolist(), sample_total, alloc))
+        sample_pdf = spark_build.stratified_sample(df_leaf, drawn, agg_pdf, k_per_leaf, seed)
+        # The rows come leaf by leaf, so each leaf's sample is one slice.
+        lids, start = np.unique(sample_pdf[spark_build.LEAF_COL].to_numpy(), return_index=True)
+        end = np.append(start[1:], len(sample_pdf))
+        x = sample_pdf[sample_cols].to_numpy(dtype=np.float64)
+        v = sample_pdf[value_col].to_numpy(dtype=np.float64)
+        samples = {int(i): (x[a:b], v[a:b]) for i, a, b in zip(lids, start, end)}
         return cls(
             tree, samples, pred_cols, value_col, float(leaves.count.sum()),
             sample_cols=sample_cols,
@@ -375,6 +381,34 @@ def allocate_budget(counts: list[float], total: int, alloc: str) -> list[int]:
     else:
         raise ValueError(f"unknown alloc {alloc!r}")
     return out
+
+
+def sample_thresholds(
+    n_rows: int, opt_leaves: np.ndarray, n_leaves: int, total: int, alloc: str
+) -> np.ndarray:
+    """Per-leaf draw thresholds of the one-scan stratified sample, set before
+    the leaf sizes N_i are known.
+
+    ``n_rows`` is the frame's row count and ``opt_leaves`` the leaf id of
+    each of the M optimisation-sample rows, m_i of them in leaf i. With
+    λ±(m) = m + z²/2 ± z·√(m + z²/4), the Poisson score bounds at a fixed
+    z = 2, N_i lies in about (n/M)·[λ−(m_i), λ+(m_i)], and K_i is at most
+    the budget allocated over the upper ends, with the leaves that hold no
+    optimisation-sample row counted as empty (fewer leaves, more each). Then
+    t_i = min(1, (K + 4√K + 10)/N_lo) keeps about K_i + 4√K_i + 10 rows or
+    more whenever N_i ≥ N_lo. As λ−(0) = 0, a leaf with no
+    optimisation-sample row gets t_i = 1. The thresholds only size the
+    candidate set: a leaf that comes back short is scanned again, so the
+    sample does not depend on them.
+    """
+    m = np.bincount(opt_leaves, minlength=n_leaves).astype(np.float64)
+    z = 2.0
+    spread = z * np.sqrt(m + z * z / 4)
+    scale = n_rows / max(1, len(opt_leaves))
+    lo = (m + z * z / 2 - spread) * scale
+    hi = np.where(m > 0, (m + z * z / 2 + spread) * scale, 0.0)
+    k = np.array(allocate_budget(hi.tolist(), total, alloc), dtype=np.float64)
+    return np.minimum(1.0, (k + 4.0 * np.sqrt(k) + 10.0) / np.maximum(lo, 1.0))
 
 
 def _tree_from_kd(kdroot: KDNode, leaves: NodeStats) -> Tree:

@@ -63,31 +63,64 @@ def small_nyc_df(spark, nyc_pdf):
     return df
 
 
-@pytest.mark.parametrize("kind", ["1d", "kd"])
-def test_traced_build_spans_every_layer(spark, small_nyc_df, kind):
-    """One traced build makes one span for each Spark phase and for the
-    optimiser, and every per-layer build metric reads above 0."""
-    t = tracer.Tracer(spark.sparkContext, small_nyc_df)
+@pytest.fixture(scope="module")
+def build_tracer(spark, small_nyc_df):
+    """One tracer for every traced build here: a job group is named after its
+    tracer's operation number, so builds traced by two tracers would share
+    groups and each other's job counts."""
+    return tracer.Tracer(spark.sparkContext, small_nyc_df)
+
+
+def traced_build(t, kind):
+    """Trace one tiny ``build_1d``/``build_kd``; return its span names and
+    the Spark jobs of each phase."""
+    op = t.new_op("build")
     with t.installed():
-        t.new_op("build")
         if kind == "1d":
             PassSynopsis.build_1d(
-                small_nyc_df, "pickup_ts", "trip_distance", k_partitions=8, sample_total=300,
+                t.df, "pickup_ts", "trip_distance", k_partitions=8, sample_total=300,
                 m_opt=256, seed=0,
             )
         else:
             PassSynopsis.build_kd(
-                small_nyc_df, synth_data.NYC_PREDICATES[:3], "trip_distance", k_leaves=16,
+                t.df, synth_data.NYC_PREDICATES[:3], "trip_distance", k_leaves=16,
                 sample_total=300, m_opt=512, seed=0,
             )
-    names = [name for _, name, *_ in t.spans]
+    tracker = t.sc.statusTracker()
+    jobs = {phase: len(tracker.getJobIdsForGroup(g)) for o, phase, g in t.job_groups if o == op}
+    return [name for o, name, *_ in t.spans if o == op], jobs
+
+
+@pytest.mark.parametrize("kind", ["1d", "kd"])
+def test_traced_build_spans_every_layer(build_tracer, kind, monkeypatch):
+    """One traced build makes one span for each Spark phase and for the
+    optimiser, and every per-layer build metric reads above 0. The leaf
+    aggregates and the sample candidates are one job; the sampling phase runs
+    none unless a leaf comes back short, and then exactly one."""
+    names, jobs = traced_build(build_tracer, kind)
     for phase in tracer.SPARK_PHASES:
         assert names.count(f"spark_build.{phase}") == 1, phase
     optimiser = "partitioner.adp" if kind == "1d" else "kdtree.grow"
     # ADP makes two spans: the DP in the constructor, then ``cuts``.
     assert names.count(optimiser) == (2 if kind == "1d" else 1)
-    metrics = t.layer_metrics()
+    metrics = build_tracer.layer_metrics()
     for phase in tracer.SPARK_PHASES:
         assert metrics[f"spark_build.{phase}_s"] > 0, phase
-        assert metrics[f"spark_build.{phase}.jobs"] >= 1, phase
+    assert jobs["leaf_aggregates"] >= 1
+    assert jobs["stratified_sample"] == 0
     assert metrics[optimiser + "_s"] > 0
+
+    # A zero threshold for leaf 0 leaves it short: one top-up job.
+    thresholds = synopsis.sample_thresholds
+
+    def leaf_0_short(*args):
+        out = thresholds(*args)
+        out[0] = 0.0
+        return out
+
+    monkeypatch.setattr(synopsis, "sample_thresholds", leaf_0_short)
+    _, short = traced_build(build_tracer, kind)
+    assert short["stratified_sample"] == 1
+    assert {p: n for p, n in short.items() if p != "stratified_sample"} == {
+        p: n for p, n in jobs.items() if p != "stratified_sample"
+    }

@@ -2,6 +2,8 @@
 (oracle-checked), threshold stratified sampling, NULL values; the leaf ids
 and samples are checked against the pandas-UDF bucketing and the window
 sampler they replace."""
+import contextlib
+
 import duckdb
 import numpy as np
 import pandas as pd
@@ -15,7 +17,7 @@ from repro.core.kdtree import KDTree
 from repro.core.partitioner import assign_partitions
 from repro.core.query import Query
 from repro.core.spark_build import LEAF_COL
-from repro.core.synopsis import PassSynopsis
+from repro.core.synopsis import PassSynopsis, allocate_budget, sample_thresholds
 from repro.oracle import assert_equivalent
 from tests.reference import udf_leaf_1d, udf_leaf_fn, window_sample
 
@@ -87,19 +89,32 @@ def leaf_sizes(pdf, col, b):
     return np.bincount(np.searchsorted(b, pdf[col].to_numpy(), side="right"), minlength=len(b) + 1)
 
 
+def fused_sample(df_leaf, value, cols, k, n, t=None, seed=0):
+    """The build's sample: one job aggregates and collects the rows drawing
+    under ``t`` (by default about 3·K_i/N_i), then the driver keeps the K_i
+    smallest draws, scanning short leaves again. ``k`` maps leaf id → K_i,
+    capped at N_i = ``n[i]``."""
+    n = np.asarray(n, dtype=np.float64)
+    k_arr = np.zeros(len(n), dtype=np.int64)
+    k_arr[list(k)] = list(k.values())
+    k_arr = np.minimum(k_arr, n).astype(np.int64)
+    if t is None:
+        t = np.minimum(1.0, (3.0 * k_arr + 10.0) / np.maximum(n, 1.0))
+    agg = spark_build.leaf_aggregates(df_leaf, value, cols, [*cols, value], t, seed)
+    return spark_build.stratified_sample(df_leaf, [*cols, value], agg, k_arr, seed)
+
+
 def test_stratified_sample_sizes_exact(intel_leaf_df, intel_pdf):
     df, b = intel_leaf_df
     want = {0: 17, 1: 5, 2: 31, 3: 8}
-    s = spark_build.stratified_sample(df, "light", ["time"], want, leaf_sizes(intel_pdf, "time", b), seed=3)
+    s = fused_sample(df, "light", ["time"], want, leaf_sizes(intel_pdf, "time", b), seed=3)
     got = s.groupby(LEAF_COL).size().to_dict()
     assert got == want
 
 
 def test_stratified_sample_rows_belong_to_stratum(intel_leaf_df, intel_pdf):
     df, b = intel_leaf_df
-    s = spark_build.stratified_sample(
-        df, "light", ["time"], {0: 20, 3: 20}, leaf_sizes(intel_pdf, "time", b), seed=1
-    )
+    s = fused_sample(df, "light", ["time"], {0: 20, 3: 20}, leaf_sizes(intel_pdf, "time", b), seed=1)
     ids = np.searchsorted(b, s["time"].to_numpy(), side="right")
     assert np.array_equal(ids, s[LEAF_COL].to_numpy())
 
@@ -108,7 +123,7 @@ def test_stratified_sample_caps_at_stratum_size(spark):
     pdf = pd.DataFrame({"c": np.arange(20.0), "v": np.arange(20.0)})
     df = spark.createDataFrame(pdf)
     dfl = spark_build.with_leaf_1d(df, "c", np.array([10.0]))
-    s = spark_build.stratified_sample(dfl, "v", ["c"], {0: 100, 1: 3}, [10, 10], seed=0)
+    s = fused_sample(dfl, "v", ["c"], {0: 100, 1: 3}, [10, 10], seed=0)
     sizes = s.groupby(LEAF_COL).size()
     assert sizes[0] == 10 and sizes[1] == 3
 
@@ -261,7 +276,7 @@ def nyc_leaves(nyc_df, nyc_pdf):
 ])
 def test_threshold_sample_equals_window(request, data, value, cols):
     new_leaf, udf_leaf, n, k = request.getfixturevalue(data)
-    new = spark_build.stratified_sample(new_leaf, value, cols, k, n, seed=11)
+    new = fused_sample(new_leaf, value, cols, k, n, seed=11)
     old = window_sample(udf_leaf, value, cols, k, seed=11)
     assert len(new) == sum(k.values())
     same_samples(new, old, cols + [value])
@@ -275,13 +290,135 @@ def test_threshold_sample_top_up_equals_window(request, data, value, cols):
     """Thresholds far too small leave nearly every leaf short; the top-up
     scan must still give the window's rows."""
     new_leaf, udf_leaf, n, k = request.getfixturevalue(data)
+    t = np.full(len(n), 0.002)
+    new = fused_sample(new_leaf, value, cols, k, n, t, seed=4)
+    old = window_sample(udf_leaf, value, cols, k, seed=4)
+    assert len(new) == sum(k.values())
+    same_samples(new, old, cols + [value])
+
+
+def test_rescan_still_short_keeps_every_row(intel_leaves):
+    """Leaf sizes overstated 1000× make the rescan's thresholds from N_i far
+    too small as well: the last scan keeps every row of the leaves still
+    short, and the sample is still the window's."""
+    new_leaf, udf_leaf, n, k = intel_leaves
     k_arr = np.zeros(len(n), dtype=np.int64)
     k_arr[list(k)] = list(k.values())
-    t = np.where(k_arr > 0, 0.002, 0.0)
-    new = spark_build._smallest_draws(new_leaf, [LEAF_COL, *cols, value], k_arr, t, 4)
-    old = window_sample(udf_leaf, value, cols, k, seed=4)
-    assert len(new) == k_arr.sum()
+    agg = spark_build.leaf_aggregates(new_leaf, "light", ["time"], ["time", "light"], np.full(len(n), 0.002), 6)
+    agg["agg_count"] *= 1000
+    new = spark_build.stratified_sample(new_leaf, ["time", "light"], agg, k_arr, 6)
+    same_samples(new, window_sample(udf_leaf, "light", ["time"], k, seed=6), ["time", "light"])
+
+
+@pytest.mark.parametrize("data,value,cols", [
+    ("intel_leaves", "light", ["time"]),
+    ("nyc_leaves", "trip_distance", synth_data.NYC_PREDICATES[:3]),
+])
+def test_estimated_thresholds_sample_equals_window(request, data, value, cols):
+    """Thresholds set by ``sample_thresholds`` from a 5% driver-side sample
+    that holds no row of the largest leaf: that leaf is collected whole
+    (t = 1), the rest under estimated thresholds, and the sample is still
+    the window's."""
+    new_leaf, udf_leaf, n, k = request.getfixturevalue(data)
+    lids = np.repeat(np.arange(len(n)), n)
+    opt = np.random.default_rng(2).choice(lids, size=len(lids) // 20, replace=False)
+    big = int(np.argmax(n))
+    t = sample_thresholds(int(n.sum()), opt[opt != big], len(n), sum(k.values()), "equal")
+    assert t[big] == 1.0 and (t < 1.0).any()
+    new = fused_sample(new_leaf, value, cols, k, n, t, seed=5)
+    old = window_sample(udf_leaf, value, cols, k, seed=5)
+    assert len(new) == sum(k.values())
     same_samples(new, old, cols + [value])
+
+
+def test_sample_thresholds_bounds():
+    """Leaves without an optimisation-sample row, or with no row at all, get
+    t = 1, and the estimated t_i·N_i exceeds K_i when the leaf size is as
+    estimated."""
+    opt = np.repeat([0, 1, 3], [500, 100, 400])  # leaf 2: no row
+    t = sample_thresholds(100_000, opt, 4, 400, "equal")
+    assert t[2] == 1.0 and (t[[0, 1, 3]] < 1.0).all()
+    k = 133  # 400 over the 3 leaves with rows
+    assert (t[[0, 1, 3]] * np.array([50_000, 10_000, 40_000]) > k + 4 * np.sqrt(k) + 10).all()
+    assert (sample_thresholds(0, np.zeros(0, np.int64), 3, 100, "equal") == 1.0).all()
+
+
+def build_samples_equal_window(syn, udf_leaf, sample_total, alloc, seed):
+    """Every leaf's sample of ``syn`` is the window sampler's, drawn over the
+    same NULL-free leaf frame, with K_i allocated from the exact leaf sizes."""
+    k = allocate_budget([leaf.stats.count for leaf in syn.leaves], sample_total, alloc)
+    want = {i: k_i for i, k_i in enumerate(k) if k_i > 0}
+    old = window_sample(udf_leaf, syn.value_col, syn.sample_cols, want, seed=seed)
+    assert sorted(syn.samples) == sorted(want)
+    by_leaf = dict(list(old.groupby(LEAF_COL)))
+    for lid, (x, v) in syn.samples.items():
+        grp = by_leaf[lid]
+        assert len(v) == want[lid]
+        assert np.array_equal(x, grp[syn.sample_cols].to_numpy(np.float64), equal_nan=True)
+        assert np.array_equal(v, grp[syn.value_col].to_numpy(np.float64))
+
+
+def test_build_with_given_boundaries_equals_window(intel_df):
+    """A build with caller-given boundaries has no optimisation sample to set
+    thresholds from: it aggregates, then scans once with thresholds from the
+    exact leaf sizes, and the samples are the window's."""
+    b = np.array([5000.0, 40000.0, 41000.0, 150000.0])
+    syn = PassSynopsis.build_1d(
+        intel_df, "time", "light", k_partitions=5, sample_total=250, boundaries=b, seed=13
+    )
+    build_samples_equal_window(syn, udf_leaf_1d(intel_df, "time", b), 250, "equal", 13)
+
+
+def test_kd_build_equals_window(nyc_df, nyc_kd_synopsis):
+    """The fixture KD-PASS build (samples carry a column the tree is not
+    built on) samples exactly the window's rows."""
+    syn = nyc_kd_synopsis
+    udf = udf_leaf_fn(nyc_df, syn.pred_cols, syn.assign)
+    build_samples_equal_window(syn, udf, 800, "equal", 7)
+
+
+def test_build_restores_huge_method_limit(spark, intel_df):
+    """A build runs its Spark jobs under a huge-method limit of at most 8,000
+    and leaves the setting exactly as it found it: unset, a lower value the
+    caller set (kept during the build too), or a higher one, also when a
+    job fails."""
+    key = "spark.sql.codegen.hugeMethodLimit"
+    b = np.array([30000.0, 90000.0])
+
+    def build(df):
+        return PassSynopsis.build_1d(df, "time", "light", k_partitions=3, sample_total=60, boundaries=b)
+
+    seen = []
+    jit = spark_build.jit_sized_methods
+
+    def spy(session):
+        @contextlib.contextmanager
+        def inner():
+            with jit(session):
+                seen.append(session.conf.get(key))
+                yield
+        return inner()
+
+    failing = intel_df.withColumn("light", F.expr("IF(time > 0, raise_error('boom'), light)"))
+    try:
+        spark.conf.unset(key)
+        spark_build.jit_sized_methods = spy
+        build(intel_df)
+        assert spark.conf.get(key, None) is None and seen[-1] == "8000"
+        for before, during in (("4000", "4000"), ("65535", "8000")):
+            spark.conf.set(key, before)
+            build(intel_df)
+            assert spark.conf.get(key) == before and seen[-1] == during
+            with pytest.raises(Exception, match="boom"):
+                build(failing)
+            assert spark.conf.get(key) == before and seen[-1] == during
+        spark.conf.unset(key)
+        with pytest.raises(Exception, match="boom"):
+            build(failing)
+        assert spark.conf.get(key, None) is None
+    finally:
+        spark_build.jit_sized_methods = jit
+        spark.conf.unset(key)
 
 
 # -- NULL aggregation values -----------------------------------------------
@@ -290,14 +427,20 @@ def test_threshold_sample_top_up_equals_window(request, data, value, cols):
 def test_null_values_left_out_of_synopsis(spark):
     """Rows whose value is NULL are in no leaf aggregate, no sample and not
     in the row total: leaf SUM/COUNT/MIN/MAX and extents equal DuckDB's
-    ``WHERE v IS NOT NULL GROUP BY leaf``, and a covered AVG equals SQL AVG."""
+    ``WHERE v IS NOT NULL GROUP BY leaf``, and a covered AVG equals SQL AVG.
+    The samples are the window's over the rows with a value; a NULL in a
+    sampled column that is not the value is kept, as NaN."""
     g = np.random.default_rng(9)
     n = 3000
     c = g.integers(0, 500, n).astype(np.float64)
     v = g.lognormal(0, 1, n)
     null = g.random(n) < 0.2
-    df = double_frame(spark, ["c", "v"], [(ci, None if z else vi) for ci, vi, z in zip(c, v, null)])
-    syn = PassSynopsis.build_1d(df, "c", "v", k_partitions=8, sample_total=400, m_opt=256, seed=3)
+    w = np.where(np.random.default_rng(10).random(n) < 0.1, None, c / 7.0)
+    rows = [(ci, None if z else vi, wi) for ci, vi, z, wi in zip(c, v, null, w)]
+    df = double_frame(spark, ["c", "v", "w"], rows)
+    syn = PassSynopsis.build_1d(
+        df, "c", "v", k_partitions=8, sample_total=400, m_opt=256, sample_cols=["c", "w"], seed=3
+    )
     t = pd.DataFrame({"c": c, "v": pd.array(np.where(null, None, v), dtype="Float64")})
     t["leaf"] = syn.assign(c[:, None])
     con = duckdb.connect()
@@ -318,6 +461,9 @@ def test_null_values_left_out_of_synopsis(spark):
         assert (node.stats.count, node.stats.min, node.stats.max) == (cnt, lo, hi)
         assert (node.pred_min[0], node.pred_max[0]) == (cmin, cmax)
     assert not any(np.isnan(sv).any() for _, sv in syn.samples.values())
+    assert any(np.isnan(sx[:, 1]).any() for sx, _ in syn.samples.values())
+    valued = df.where(F.col("v").isNotNull())
+    build_samples_equal_window(syn, udf_leaf_fn(valued, ["c"], syn.assign), 400, "equal", 3)
     for m in (256, n):  # a Bernoulli sample, and every row
         opt = spark_build.optimization_sample(df, "v", ["c"], m, n, seed=3)
         assert len(opt) and not opt["v"].isna().any()
