@@ -140,18 +140,16 @@ def leaf_aggregates(
     df_leaf: DataFrame,
     value_col: str,
     pred_cols: list[str],
-    sample_cols: list[str] = (),
-    thresholds: np.ndarray | None = None,
-    seed: int = 0,
+    sample: tuple[list[str], np.ndarray, int] | None = None,
 ) -> pd.DataFrame:
     """Exact per-leaf aggregates: the single groupBy of the build path.
 
-    With ``thresholds`` (one per leaf id) the same job also draws
-    ``rand(seed)`` for every row, in a projection straight over ``df_leaf``,
-    and collects for each leaf i, as lists of primitive values, the draw
-    (column ``__r``) and each of ``sample_cols`` (column ``sample_<col>``)
-    of the rows whose draw is under ``thresholds[i]``: the candidates of
-    :func:`stratified_sample`.
+    With ``sample = (sample_cols, thresholds, seed)``, one threshold per leaf
+    id, the same job also draws ``rand(seed)`` for every row, in a projection
+    straight over ``df_leaf``, and collects for each leaf i, as lists of
+    primitive values, the draw (column ``__r``) and each of ``sample_cols``
+    (column ``sample_<col>``) of the rows whose draw is under
+    ``thresholds[i]``: the candidates of :func:`stratified_sample`.
     """
     # Spark SQL strings: each Column built through the Python API costs a
     # round trip to the JVM, an SQL string one for the whole expression.
@@ -160,7 +158,8 @@ def leaf_aggregates(
     for c in pred_cols:
         aggs += [f"{f}({_name(c)}) AS {_name(f'p{f}_{c}')}" for f in ("min", "max")]
     rows = df_leaf
-    if thresholds is not None:
+    if sample is not None:
+        sample_cols, thresholds, seed = sample
         # The test is its own column so that the plan is analysed with it
         # once, not once per list.
         rows = df_leaf.selectExpr("*", f"rand({int(seed)}L) AS {_DRAW}").selectExpr(
@@ -195,8 +194,8 @@ def stratified_sample(
     with the smallest ``rand(seed)`` draws, leaf by leaf in draw order, as
     leaf id + ``sample_cols`` (DOUBLE, NULL as NaN).
 
-    ``candidates`` is what :func:`leaf_aggregates` returned for ``df_leaf``
-    with ``sample_cols``, the same seed and, if any, thresholds; ``k[i]`` must
+    ``candidates`` is what :func:`leaf_aggregates` returned for ``df_leaf``,
+    with ``sample_cols`` and the same seed if it was given any; ``k[i]`` must
     not exceed the size of leaf i. The rows under a threshold include the
     leaf's smallest draws whenever there are at least ``k[i]`` of them. A
     leaf with fewer is scanned again (one more Spark job), keeping the rows

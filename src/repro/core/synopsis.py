@@ -171,10 +171,11 @@ class PassSynopsis:
         # One job: the leaf aggregates, and the candidate rows of the samples.
         # Without an optimisation sample there is nothing to set thresholds
         # from: the aggregates come alone, and the sample from one more scan.
-        thresholds = None
+        sample = None
         if opt_leaves is not None:
             thresholds = sample_thresholds(n_rows, opt_leaves, n_leaves, sample_total, alloc)
-        agg_pdf = spark_build.leaf_aggregates(df_leaf, value_col, pred_cols, drawn, thresholds, seed)
+            sample = (drawn, thresholds, seed)
+        agg_pdf = spark_build.leaf_aggregates(df_leaf, value_col, pred_cols, sample)
         leaves = spark_build.leaves_from_aggregates(agg_pdf, pred_cols, n_leaves)
         if kd is None:
             tree = build_tree(leaves, fanout=fanout)
@@ -390,16 +391,21 @@ def sample_thresholds(
     the leaf sizes N_i are known.
 
     ``n_rows`` is the frame's row count and ``opt_leaves`` the leaf id of
-    each of the M optimisation-sample rows, m_i of them in leaf i. With
-    λ±(m) = m + z²/2 ± z·√(m + z²/4), the Poisson score bounds at a fixed
-    z = 2, N_i lies in about (n/M)·[λ−(m_i), λ+(m_i)], and K_i is at most
-    the budget allocated over the upper ends, with the leaves that hold no
-    optimisation-sample row counted as empty (fewer leaves, more each). Then
+    each of the M optimisation-sample rows, m_i of them in leaf i. A
+    heuristic sizes the candidate set: with λ±(m) = m + z²/2 ± z·√(m + z²/4),
+    the Poisson score bounds at a fixed z = 2, N_lo = (n/M)·λ−(m_i) is taken
+    as a low estimate of N_i, and K_i as the budget allocated over the high
+    estimates (n/M)·λ+(m_i), with the leaves that hold no optimisation-sample
+    row counted as empty (fewer leaves, more each). Then
     t_i = min(1, (K + 4√K + 10)/N_lo) keeps about K_i + 4√K_i + 10 rows or
     more whenever N_i ≥ N_lo. As λ−(0) = 0, a leaf with no
-    optimisation-sample row gets t_i = 1. The thresholds only size the
-    candidate set: a leaf that comes back short is scanned again, so the
-    sample does not depend on them.
+    optimisation-sample row gets t_i = 1.
+
+    The bounds would hold if m_i were a Poisson count, but ADP and k-d cuts
+    sit at optimisation-sample values, which ties m_i to the cuts: on the
+    benchmark shapes some leaves hold 3–4× fewer rows than N_lo. Nothing
+    rests on the estimate: a leaf that comes back short is scanned again, so
+    the sample does not depend on the thresholds.
     """
     m = np.bincount(opt_leaves, minlength=n_leaves).astype(np.float64)
     z = 2.0

@@ -72,8 +72,9 @@ def build_tracer(spark, small_nyc_df):
 
 
 def traced_build(t, kind):
-    """Trace one tiny ``build_1d``/``build_kd``; return its span names and
-    the Spark jobs of each phase."""
+    """Trace one tiny ``build_1d``/``build_kd``; return the seconds of each
+    of its spans by name (one entry per span) and the Spark jobs of each
+    phase."""
     op = t.new_op("build")
     with t.installed():
         if kind == "1d":
@@ -88,27 +89,30 @@ def traced_build(t, kind):
             )
     tracker = t.sc.statusTracker()
     jobs = {phase: len(tracker.getJobIdsForGroup(g)) for o, phase, g in t.job_groups if o == op}
-    return [name for o, name, *_ in t.spans if o == op], jobs
+    spans = [(name, t1 - t0) for o, name, _, t0, t1 in t.spans if o == op]
+    return spans, jobs
 
 
 @pytest.mark.parametrize("kind", ["1d", "kd"])
 def test_traced_build_spans_every_layer(build_tracer, kind, monkeypatch):
     """One traced build makes one span for each Spark phase and for the
-    optimiser, and every per-layer build metric reads above 0. The leaf
+    optimiser, and each of those spans of this build takes time. The leaf
     aggregates and the sample candidates are one job; the sampling phase runs
     none unless a leaf comes back short, and then exactly one."""
-    names, jobs = traced_build(build_tracer, kind)
+    spans, jobs = traced_build(build_tracer, kind)
+    names = [name for name, _ in spans]
+    seconds = dict(spans)
     for phase in tracer.SPARK_PHASES:
         assert names.count(f"spark_build.{phase}") == 1, phase
+        assert seconds[f"spark_build.{phase}"] > 0, phase
     optimiser = "partitioner.adp" if kind == "1d" else "kdtree.grow"
     # ADP makes two spans: the DP in the constructor, then ``cuts``.
     assert names.count(optimiser) == (2 if kind == "1d" else 1)
-    metrics = build_tracer.layer_metrics()
-    for phase in tracer.SPARK_PHASES:
-        assert metrics[f"spark_build.{phase}_s"] > 0, phase
+    assert all(s > 0 for name, s in spans if name == optimiser)
+    assert jobs["count"] >= 1
+    assert jobs["optimization_sample"] >= 1
     assert jobs["leaf_aggregates"] >= 1
     assert jobs["stratified_sample"] == 0
-    assert metrics[optimiser + "_s"] > 0
 
     # A zero threshold for leaf 0 leaves it short: one top-up job.
     thresholds = synopsis.sample_thresholds

@@ -100,7 +100,7 @@ def fused_sample(df_leaf, value, cols, k, n, t=None, seed=0):
     k_arr = np.minimum(k_arr, n).astype(np.int64)
     if t is None:
         t = np.minimum(1.0, (3.0 * k_arr + 10.0) / np.maximum(n, 1.0))
-    agg = spark_build.leaf_aggregates(df_leaf, value, cols, [*cols, value], t, seed)
+    agg = spark_build.leaf_aggregates(df_leaf, value, cols, ([*cols, value], t, seed))
     return spark_build.stratified_sample(df_leaf, [*cols, value], agg, k_arr, seed)
 
 
@@ -304,7 +304,7 @@ def test_rescan_still_short_keeps_every_row(intel_leaves):
     new_leaf, udf_leaf, n, k = intel_leaves
     k_arr = np.zeros(len(n), dtype=np.int64)
     k_arr[list(k)] = list(k.values())
-    agg = spark_build.leaf_aggregates(new_leaf, "light", ["time"], ["time", "light"], np.full(len(n), 0.002), 6)
+    agg = spark_build.leaf_aggregates(new_leaf, "light", ["time"], (["time", "light"], np.full(len(n), 0.002), 6))
     agg["agg_count"] *= 1000
     new = spark_build.stratified_sample(new_leaf, ["time", "light"], agg, k_arr, 6)
     same_samples(new, window_sample(udf_leaf, "light", ["time"], k, seed=6), ["time", "light"])
