@@ -322,7 +322,12 @@ class PassSynopsis:
     ) -> dict[float, AqpResult]:
         """GROUP BY over a (dictionary-encoded) categorical column: each
         group value becomes an equality predicate conjoined with ``base``
-        and answered independently (§4.5)."""
+        and answered independently (§4.5).
+
+        Each group's :class:`AqpResult` is that equality query's answer:
+        estimate, 99% CI and hard bounds. It is exact only where the group's
+        value fills whole leaves; a value that shares a leaf with other
+        values is estimated from that leaf's stratified sample."""
         out = {}
         for g in groups:
             cols = (group_col,)
