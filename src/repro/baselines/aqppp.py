@@ -32,17 +32,17 @@ from ..core.variance import LAMBDA_99, hard_bounds, stratum_estimate
 
 
 def hill_climb_cuts(
-    a_sorted: np.ndarray, k: int, *, agg: str = "sum", iters: int = 300, seed: int = 0
+    a_sorted: np.ndarray, k: int, *, iters: int = 300, seed: int = 0
 ) -> list[int]:
     """AQP++'s iterative hill-climbing partition search.
 
     Starts from equal-depth cuts and repeatedly proposes moving one random
     interior boundary to a random new position, accepting moves that lower
-    the maximum discretised per-partition query variance.
+    the maximum discretised per-partition SUM query variance.
     """
     m = int(len(a_sorted))
     k = max(1, min(k, m))
-    helper = ADP(a_sorted, 1, agg=agg)  # reuse its O(1) discretised mvar
+    helper = ADP(a_sorted, 1)  # reuse its O(1) discretised mvar
     cuts = equal_depth_cuts(m, k)
     seg = [helper.mvar(cuts[j], cuts[j + 1] - 1) for j in range(len(cuts) - 1)]
     rng = np.random.default_rng(seed)

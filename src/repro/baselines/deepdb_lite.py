@@ -21,6 +21,9 @@ from pyspark.sql import DataFrame
 from ..core.query import Query
 from ..core.synopsis import AqpResult
 
+#: Equi-depth buckets per predicate column.
+N_BUCKETS = 64
+
 
 class _Marginal:
     """Equi-depth histogram over one predicate column with per-bucket
@@ -83,7 +86,6 @@ class DeepDBLite:
         value_col: str,
         *,
         train_frac: float = 1.0,
-        n_buckets: int = 64,
         seed: int = 0,
     ) -> "DeepDBLite":
         t0 = time.perf_counter()
@@ -93,7 +95,7 @@ class DeepDBLite:
         a = pdf[value_col].to_numpy(dtype=np.float64)
         scale = n_total / max(1, len(pdf))
         marginals = {
-            c: _Marginal(pdf[c].to_numpy(dtype=np.float64), a, n_buckets) for c in pred_cols
+            c: _Marginal(pdf[c].to_numpy(dtype=np.float64), a, N_BUCKETS) for c in pred_cols
         }
         return cls(marginals, n_total, float(a.sum()) * scale, time.perf_counter() - t0)
 

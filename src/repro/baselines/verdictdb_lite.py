@@ -6,9 +6,11 @@ bounds. The closed-source planner is out of reach, so this simulates the
 same storage/accuracy trade-off with a uniform row-level scramble at
 ratio r: r=1.0 stores (a permutation of) the full table and is exact up
 to the finite-population correction; r=0.1 stores 10% and behaves like
-plain uniform sampling at a 10% rate. Storage is accounted at full row
-width, matching the paper's observation that VerdictDB-100% costs about
-the size of the original dataset.
+plain uniform sampling at a 10% rate. The scramble is the US synopsis
+(:mod:`.uniform`): one leaf indexed on no column, answered by the PASS
+engine from its sample. Storage is accounted at full row width, matching
+the paper's observation that VerdictDB-100% costs about the size of the
+original dataset.
 """
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ import time
 
 from pyspark.sql import DataFrame
 
-from .uniform import UniformSampling
+from ..core.synopsis import PassSynopsis
+from .uniform import sampled
 
 
 def build_verdictdb(
@@ -26,11 +29,9 @@ def build_verdictdb(
     *,
     ratio: float,
     seed: int = 0,
-) -> UniformSampling:
-    """Scramble at sampling ``ratio`` ∈ (0, 1]."""
+) -> PassSynopsis:
+    """Scramble at sampling ``ratio`` ∈ (0, 1]; the table is counted once."""
     t0 = time.perf_counter()
     n_total = df.count()
     k = max(1, int(round(ratio * n_total)))
-    syn = UniformSampling.build(df, pred_cols, value_col, k=k, seed=seed)
-    syn.build_seconds = time.perf_counter() - t0
-    return syn
+    return sampled(df, pred_cols, value_col, k, n_total, seed, t0)

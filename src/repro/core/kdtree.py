@@ -15,10 +15,9 @@ node's leaf id): :meth:`KDTree.assign` descends every row one level at a time
 over them, and ``spark_build.with_leaf_fn`` compiles the same arrays into
 one Spark SQL ``CASE`` expression.
 
-The per-leaf maximum-variance query is approximated with the same
-discretisations as 1-D (Appendix A.3/A.4): median-split halves for
-SUM/COUNT, best length-δm run (sorted along each dimension) for AVG —
-each a constant-factor approximation of the true leaf maximum.
+The per-leaf maximum-variance SUM query is approximated with the same
+discretisation as 1-D (Appendix A.3): the better median-split half along
+each dimension, a constant-factor approximation of the true leaf maximum.
 """
 from __future__ import annotations
 
@@ -46,13 +45,12 @@ class KDNode:
         return not self.children
 
 
-def _leaf_max_variance(a: np.ndarray, x: np.ndarray, agg: str, delta_len: int) -> float:
-    """Approximate max query variance among a leaf's sample rows.
+def _leaf_max_variance(a: np.ndarray, x: np.ndarray) -> float:
+    """Approximate max SUM query variance among a leaf's sample rows.
 
-    ``a`` are the aggregate values, ``x`` the (n, d) predicate matrix.
-    SUM/COUNT: the better half of a median split along each dimension
-    (Lemma A.3 generalised). AVG: the best contiguous length-``delta_len``
-    run when sorted along each dimension (Appendix A.4 style).
+    ``a`` are the aggregate values, ``x`` the (n, d) predicate matrix: the
+    better half of a median split along each dimension (Lemma A.3
+    generalised).
     """
     n = int(a.size)
     if n < 2:
@@ -61,18 +59,9 @@ def _leaf_max_variance(a: np.ndarray, x: np.ndarray, agg: str, delta_len: int) -
     for j in range(x.shape[1]):
         order = np.argsort(x[:, j], kind="stable")
         v = a[order]
-        if agg in ("sum", "count"):
-            mid = n // 2
-            for seg in (v[:mid], v[mid:]):
-                best = max(best, cal_v(n, float(np.square(seg).sum()), float(seg.sum())))
-        else:
-            L = min(max(2, delta_len), n)
-            csq = np.concatenate([[0.0], np.cumsum(v * v)])
-            cs = np.concatenate([[0.0], np.cumsum(v)])
-            wq = csq[L:] - csq[:-L]
-            ws = cs[L:] - cs[:-L]
-            g = int(np.argmax(wq))
-            best = max(best, cal_v(n, float(wq[g]), float(ws[g])) / (L * L))
+        mid = n // 2
+        for seg in (v[:mid], v[mid:]):
+            best = max(best, cal_v(n, float(np.square(seg).sum()), float(seg.sum())))
     return best
 
 
@@ -83,9 +72,7 @@ class KDTree:
         x: (m, d) predicate matrix of the optimisation sample.
         a: (m,) aggregate values of the optimisation sample.
         k_leaves: stop expanding once this many leaves exist.
-        policy: 'pass' (max-variance expansion) or 'us' (shallowest).
-        agg: query type whose variance drives 'pass' expansion.
-        delta: AVG discretised query length as a fraction of m.
+        policy: 'pass' (max SUM variance expansion) or 'us' (shallowest).
         balance_limit: max allowed difference between leaf depths ('pass').
     """
 
@@ -96,8 +83,6 @@ class KDTree:
         k_leaves: int,
         *,
         policy: str = "pass",
-        agg: str = "sum",
-        delta: float = 0.01,
         balance_limit: int = 2,
         seed: int = 0,
     ) -> None:
@@ -105,8 +90,6 @@ class KDTree:
         self.a = np.asarray(a, dtype=np.float64)
         self.d = self.x.shape[1]
         self.policy = policy
-        self.agg = agg
-        self.delta_len = max(2, int(round(delta * len(self.a))))
         self.balance_limit = balance_limit
         self.root = KDNode(idx=np.arange(len(self.a)), depth=0)
         self._grow(k_leaves, np.random.default_rng(seed))
@@ -139,7 +122,7 @@ class KDTree:
             # Shallowest first; random tiebreak. Heap pops the minimum.
             return node.depth + rng.random() * 1e-6
         # Max variance first → negate for the min-heap.
-        return -_leaf_max_variance(self.a[node.idx], self.x[node.idx], self.agg, self.delta_len)
+        return -_leaf_max_variance(self.a[node.idx], self.x[node.idx])
 
     def _split(self, node: KDNode) -> bool:
         """Median-split ``node`` into 2^d children; False if unsplittable."""
@@ -201,6 +184,3 @@ class KDTree:
     @property
     def n_leaves(self) -> int:
         return len(self.leaves)
-
-    def leaf_depths(self) -> list[int]:
-        return [n.depth for n in self.leaves]

@@ -187,6 +187,13 @@ def leaves_from_aggregates(
     return leaves
 
 
+def candidate_threshold(k: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The draw threshold min(1, (K + 4√K + 10)/N) that keeps about
+    K + 4√K + 10 of a leaf's N rows, 4 or more standard deviations above K;
+    N is taken as at least 1."""
+    return np.minimum(1.0, (k + 4.0 * np.sqrt(k) + 10.0) / np.maximum(n, 1.0))
+
+
 def stratified_sample(
     df_leaf: DataFrame, sample_cols: list[str], candidates: pd.DataFrame, k: np.ndarray, seed: int = 0
 ) -> pd.DataFrame:
@@ -199,11 +206,10 @@ def stratified_sample(
     not exceed the size of leaf i. The rows under a threshold include the
     leaf's smallest draws whenever there are at least ``k[i]`` of them. A
     leaf with fewer is scanned again (one more Spark job), keeping the rows
-    under min(1, (K_i + 4√K_i + 10)/N_i) with its exact size N_i, 4 or more
-    standard deviations above K_i; one still short then keeps every row. So
-    the sample never depends on the thresholds. Every scan draws in a
-    projection straight over ``df_leaf``, so each row has the same draw in
-    all of them.
+    under :func:`candidate_threshold` of K_i and its exact size N_i; one
+    still short then keeps every row. So the sample never depends on the
+    thresholds. Every scan draws in a projection straight over ``df_leaf``,
+    so each row has the same draw in all of them.
     """
     def scan(limit: np.ndarray) -> pd.DataFrame:
         drawn = df_leaf.selectExpr(
@@ -224,8 +230,7 @@ def stratified_sample(
         rows = pd.DataFrame({LEAF_COL: np.zeros(0, np.int64), **{name: np.zeros(0) for name in lists}})
     n = np.zeros(len(k))
     n[ids] = candidates["agg_count"].to_numpy(np.float64)
-    exact = np.minimum(1.0, (k + 4.0 * np.sqrt(k) + 10.0) / np.maximum(n, 1.0))
-    for limit in (exact, 1.0):
+    for limit in (candidate_threshold(k, n), 1.0):
         short = np.bincount(rows[LEAF_COL], minlength=len(k)) < k
         if not short.any():
             break

@@ -10,14 +10,18 @@ Two builders:
 
 * :meth:`PassSynopsis.build_1d` — single predicate column, leaf
   partitioning from the ADP dynamic program (or equal-depth for the EQ
-  ablation), balanced bottom-up tree of a fixed fanout;
+  ablation), balanced bottom-up tree of a fixed fanout, the sample budget
+  split equally over the non-empty leaves;
 * :meth:`PassSynopsis.build_kd` — multi-dimensional KD-PASS (§4.4) with
   max-variance leaf expansion.
 
 Workload shift (§5.4.1) is supported: a query may constrain columns the
-synopsis was not built on; those constraints disable exact coverage (all
-intersecting nodes are answered from samples) but the shared attributes
-still drive data skipping.
+synopsis was not built on; those constraints disable exact coverage (every
+non-empty leaf that overlaps the query is answered from its samples) but the
+shared attributes still drive data skipping. The same sample-only path
+answers every query of a synopsis built without aggregates: ST, and US or
+VerdictDB-lite, a single leaf indexed on no column
+(:mod:`repro.baselines.uniform`).
 """
 from __future__ import annotations
 
@@ -32,7 +36,7 @@ from . import spark_build
 from .kdtree import KDNode, KDTree
 from .partitioner import ADP, assign_partitions, cuts_to_boundaries, equal_depth_cuts
 from .query import Query
-from .tree import Node, NodeStats, Tree, build_tree, mcf, synopsis_bytes
+from .tree import Node, NodeStats, Tree, build_tree, mcf, overlapping_leaves, synopsis_bytes
 from .variance import LAMBDA_99, hard_bounds, stratum_estimate, sum_range
 
 
@@ -68,7 +72,10 @@ class PassSynopsis:
         """``use_aggregates=False`` turns the structure into plain
         stratified sampling (the ST baseline): covered nodes are answered
         from their samples like any other stratum and no exact partial
-        aggregation, 0-variance rule, or hard bounds are used."""
+        aggregation, 0-variance rule, or hard bounds are used. With no
+        ``pred_cols`` and one leaf it is uniform sampling (US,
+        VerdictDB-lite): every query constrains a column outside the index,
+        so the one stratum's sample answers it (§5.4.1)."""
         self.use_aggregates = use_aggregates
         #: vectorised (n, d) → leaf-id mapper; enables dynamic inserts.
         self.assign = assign
@@ -100,7 +107,6 @@ class PassSynopsis:
         sample_total: int,
         partitioner: str = "adp",
         m_opt: int = 1024,
-        alloc: str = "equal",
         fanout: int = 2,
         sample_cols: list[str] | None = None,
         boundaries: np.ndarray | None = None,
@@ -127,7 +133,7 @@ class PassSynopsis:
         b = np.asarray(boundaries, dtype=np.float64)
         return cls._finish(
             df_leaf, [pred_col], value_col, len(boundaries) + 1, None, sample_total,
-            alloc, fanout, sample_cols, seed, t0, n_rows, opt_leaves,
+            "equal", fanout, sample_cols, seed, t0, n_rows, opt_leaves,
             assign=lambda x: assign_partitions(np.asarray(x, float)[:, 0], b),
         )
 
@@ -199,20 +205,16 @@ class PassSynopsis:
 
     def answer(self, q: Query) -> AqpResult:
         lo, hi, external = q.box(self.pred_cols)
-        demote = external or not self.use_aggregates
         nodes = self.tree.nodes
-        covered, partial = mcf(
-            self.tree, lo, hi, zero_var_as_covered=(q.agg == "avg" and not demote)
-        )
-        if demote:
-            # Coverage cannot be certified — every non-empty leaf under the
-            # frontier is answered from its samples.
-            under = self.tree.cover_count(covered) > 0
-            under[partial] = True
-            partial = np.flatnonzero(under & (self.tree.leaf_id >= 0) & (nodes.count > 0))
+        if external or not self.use_aggregates:
+            # Coverage cannot be certified (§5.4.1), or there are no aggregates
+            # to certify it with: every non-empty leaf that overlaps the query
+            # is answered from its samples.
+            partial = overlapping_leaves(self.tree, lo, hi)
             covered = partial[:0]
             lb = ub = float("nan")
         else:
+            covered, partial = mcf(self.tree, lo, hi, zero_var_as_covered=q.agg == "avg")
             lb, ub = hard_bounds(q.agg, nodes, covered, partial)
         n_strata = nodes.count[partial]
         skipped = 1.0 - float(n_strata.sum()) / self.n_total if self.n_total else 0.0
@@ -220,8 +222,11 @@ class PassSynopsis:
         no_sample = (np.empty((0, len(self.sample_cols))), np.empty(0))
         drawn = [self.samples.get(lid, no_sample) for lid in self.tree.leaf_id[partial].tolist()]
         sizes = np.array([len(v) for _, v in drawn], dtype=np.int64)
-        x = np.concatenate([x for x, _ in drawn]) if drawn else no_sample[0]
-        v = np.concatenate([v for _, v in drawn]) if drawn else no_sample[1]
+        if len(drawn) == 1:  # one stratum: its arrays as they are, not a copy
+            x, v = drawn[0]
+        else:
+            x = np.concatenate([x for x, _ in drawn]) if drawn else no_sample[0]
+            v = np.concatenate([v for _, v in drawn]) if drawn else no_sample[1]
         m = q.sample_mask(x, self.sample_cols)
         processed = int(v.size)
 
@@ -348,8 +353,12 @@ class PassSynopsis:
 
     @property
     def storage_bytes(self) -> int:
-        # ST keeps no tree — only per-stratum sizes and the samples.
-        n_nodes = self.tree.n_nodes if self.use_aggregates else len(self.leaves)
+        if self.use_aggregates:
+            n_nodes = self.tree.n_nodes
+        elif self.pred_cols:  # ST keeps no tree — only per-stratum sizes and the samples.
+            n_nodes = len(self.leaves)
+        else:  # US: one stratum, of size n_total, keeps only its sample.
+            n_nodes = 0
         return synopsis_bytes(
             n_nodes, len(self.pred_cols), self.n_samples, len(self.sample_cols) + 1
         )
@@ -401,10 +410,10 @@ def sample_thresholds(
     the Poisson score bounds at a fixed z = 2, N_lo = (n/M)·λ−(m_i) is taken
     as a low estimate of N_i, and K_i as the budget allocated over the high
     estimates (n/M)·λ+(m_i), with the leaves that hold no optimisation-sample
-    row counted as empty (fewer leaves, more each). Then
-    t_i = min(1, (K + 4√K + 10)/N_lo) keeps about K_i + 4√K_i + 10 rows or
-    more whenever N_i ≥ N_lo. As λ−(0) = 0, a leaf with no
-    optimisation-sample row gets t_i = 1.
+    row counted as empty (fewer leaves, more each). Then t_i, the
+    :func:`spark_build.candidate_threshold` of K_i and N_lo, keeps about
+    K_i + 4√K_i + 10 rows or more whenever N_i ≥ N_lo. As λ−(0) = 0, a leaf
+    with no optimisation-sample row gets t_i = 1.
 
     The bounds would hold if m_i were a Poisson count, but ADP and k-d cuts
     sit at optimisation-sample values, which ties m_i to the cuts: on the
@@ -419,7 +428,7 @@ def sample_thresholds(
     lo = (m + z * z / 2 - spread) * scale
     hi = np.where(m > 0, (m + z * z / 2 + spread) * scale, 0.0)
     k = np.array(allocate_budget(hi.tolist(), total, alloc), dtype=np.float64)
-    return np.minimum(1.0, (k + 4.0 * np.sqrt(k) + 10.0) / np.maximum(lo, 1.0))
+    return spark_build.candidate_threshold(k, lo)
 
 
 def _tree_from_kd(kdroot: KDNode, leaves: NodeStats) -> Tree:

@@ -225,6 +225,13 @@ def mcf(
     return np.flatnonzero(covered & (depth == 1)), np.flatnonzero(partial & (depth == 0))
 
 
+def overlapping_leaves(tree: Tree, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Node indices, in pre-order, of the non-empty leaves that overlap the
+    query rectangle [lo, hi]: the strata a sample-only answer reads."""
+    overlap, _ = classify(tree.nodes, lo, hi)
+    return np.flatnonzero(overlap & (tree.leaf_id >= 0))
+
+
 def synopsis_bytes(n_nodes: int, d: int, n_rows: int, row_width: int) -> int:
     """Storage accounting shared by every approach: each of ``n_nodes``
     partitions stores 4 aggregate stats + 2d predicate extents, each of

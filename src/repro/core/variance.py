@@ -89,10 +89,6 @@ class PartStats:
     min: float
     max: float
 
-    @property
-    def avg(self) -> float:
-        return self.sum / self.count if self.count else float("nan")
-
 
 def sum_range(nodes, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per node of ``idx``: the least and greatest SUM any subset of its

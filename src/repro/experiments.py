@@ -23,7 +23,7 @@ from . import synth_data
 from .baselines.aqppp import build_aqppp_1d
 from .baselines.deepdb_lite import DeepDBLite
 from .baselines.stratified import build_stratified
-from .baselines.uniform import UniformSampling
+from .baselines.uniform import build_uniform
 from .baselines.verdictdb_lite import build_verdictdb
 from .core.partitioner import ADP, cuts_to_boundaries
 from .core.spark_build import optimization_sample
@@ -123,7 +123,7 @@ def run_table1(spark: SparkSession, scale: str = "test"):
             return syn
 
         approaches = {
-            "US": UniformSampling.build(df, [pred], value, k=K, seed=sc.seed),
+            "US": build_uniform(df, [pred], value, k=K, seed=sc.seed),
             "ST": build_stratified(
                 df, pred, value, n_strata=B, sample_total=K, m_opt=sc.m_opt, seed=sc.seed
             ),

@@ -14,6 +14,10 @@ import pandas as pd
 
 from .core.query import Query
 
+#: Draws per query before a template too selective for ``min_count`` is
+#: accepted as drawn.
+MAX_TRIES = 50
+
 
 def random_queries(
     pdf: pd.DataFrame,
@@ -23,16 +27,15 @@ def random_queries(
     *,
     seed: int = 0,
     min_count: int = 10,
-    max_tries: int = 50,
 ) -> list[Query]:
     """Random rectangular queries with at least ``min_count`` matching
-    tuples (re-drawn up to ``max_tries`` times)."""
+    tuples (re-drawn up to :data:`MAX_TRIES` times)."""
     rng = np.random.default_rng(seed)
     cols = {c: pdf[c].to_numpy() for c in pred_cols}
     n = len(pdf)
     out: list[Query] = []
     while len(out) < n_queries:
-        for _ in range(max_tries):
+        for _ in range(MAX_TRIES):
             lo, hi = [], []
             for c in pred_cols:
                 v = cols[c]

@@ -10,7 +10,7 @@ from pyspark.sql import functions as F
 
 from repro.core.spark_build import LEAF_COL
 from repro.core.synopsis import PassSynopsis
-from repro.core.tree import NodeStats, Tree, build_tree
+from repro.core.tree import NodeStats, Tree, build_tree, mcf
 from repro.core.variance import cal_v
 
 
@@ -74,6 +74,16 @@ def mcf_recursive(tree: Tree, lo, hi, zero_var_as_covered: bool = False):
 
     visit(0)
     return covered, partial
+
+
+def sample_only_leaves_mcf(tree: Tree, lo, hi) -> np.ndarray:
+    """The strata a sample-only answer read before it classified leaves
+    directly: run MCF, then take every non-empty leaf under a covered
+    frontier node and every partial leaf, in pre-order."""
+    covered, partial = mcf(tree, lo, hi)
+    under = tree.cover_count(covered) > 0
+    under[partial] = True
+    return np.flatnonzero(under & (tree.leaf_id >= 0) & (tree.nodes.count > 0))
 
 
 def stratum_estimate_one(agg: str, values: np.ndarray, mask: np.ndarray, n_stratum: float):

@@ -1,15 +1,18 @@
 """Baselines: US, ST, AQP++, KD-US, VerdictDB-lite, DeepDB-lite."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.aqppp import AggPlusUniform, build_aqppp_1d, build_kd_us, hill_climb_cuts
 from repro.baselines.deepdb_lite import DeepDBLite
 from repro.baselines.stratified import build_stratified
-from repro.baselines.uniform import UniformSampling
+from repro.baselines.uniform import build_uniform, one_stratum
 from repro.baselines.verdictdb_lite import build_verdictdb
 from repro.core.query import Query
 from repro.core.synopsis import PassSynopsis
 from repro.core.tree import NodeStats, build_tree
+from repro.core.variance import LAMBDA_99, stratum_estimate
 from repro.synth_data import NYC_PREDICATES
 from repro.workload import random_queries
 
@@ -17,12 +20,12 @@ from repro.workload import random_queries
 @pytest.fixture(scope="module")
 def us_full(intel_df):
     """US whose sample is the entire dataset — every estimate exact."""
-    return UniformSampling.build(intel_df, ["time"], "light", k=6000, seed=1)
+    return build_uniform(intel_df, ["time"], "light", k=6000, seed=1)
 
 
 @pytest.fixture(scope="module")
 def us_small(intel_df):
-    return UniformSampling.build(intel_df, ["time"], "light", k=300, seed=1)
+    return build_uniform(intel_df, ["time"], "light", k=300, seed=1)
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +84,46 @@ def test_us_empty_avg(us_small):
     assert np.isnan(res.est) and np.isnan(res.ci_half)
 
 
+def _same(a: float, b: float) -> bool:
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 50),
+    unsampled=st.integers(0, 50),
+    lo=st.one_of(st.just(-np.inf), st.floats(-2, 12)),
+    hi=st.one_of(st.just(np.inf), st.floats(-2, 12)),
+)
+def test_one_stratum_answers_from_its_sample(seed, k, unsampled, lo, hi):
+    """The one-leaf synopsis indexed on no column answers exactly as the
+    §2.1 estimators over its one sample: the stratum estimate and λ·σ for
+    SUM/COUNT/AVG, the sample's extreme for MIN/MAX with no interval, no
+    hard bounds, every sampled row processed and nothing skipped. K = N
+    (``unsampled`` = 0) is exact, with a zero interval. Queries include
+    ones no sampled row matches and empty ranges (lo > hi)."""
+    rng = np.random.default_rng(seed)
+    c = rng.integers(0, 10, k).astype(np.float64)
+    v = rng.choice([-3.0, 0.0, 1.0, 2.5, 7.0], k)
+    n = k + unsampled
+    syn = one_stratum(c[:, None], v, ["c"], "a", n)
+    m = (c >= lo) & (c <= hi)
+    for agg in ("sum", "count", "avg", "min", "max"):
+        res = syn.answer(Query(agg, ("c",), (lo,), (hi,)))
+        assert np.isnan(res.lb) and np.isnan(res.ub)
+        assert res.processed == k and res.skipped_frac == 0.0
+        if agg in ("min", "max"):
+            want = (v[m].min() if agg == "min" else v[m].max()) if m.any() else np.nan
+            assert _same(res.est, want) and np.isnan(res.ci_half)
+            continue
+        (est,), (var,), _ = stratum_estimate(agg, v, m, [k], [n])
+        assert _same(res.est, est)
+        assert _same(res.ci_half, LAMBDA_99 * float(np.sqrt(var)))
+        if n == k and not np.isnan(est):
+            assert res.ci_half == 0.0
+
+
 def _tiny(kind):
     """One approach over ``c`` = 0..9, ``a`` = 1, built without Spark."""
     x, v = np.arange(10.0)[:, None], np.ones(10)
@@ -89,10 +132,10 @@ def _tiny(kind):
         return PassSynopsis(build_tree(leaf), {0: (x, v)}, ["c"], "a", 10)
     if kind is AggPlusUniform:
         return AggPlusUniform(leaf, lambda z: np.zeros(len(z), np.int64), x, v, ["c"], "a", 10)
-    return UniformSampling(x, v, ["c"], "a", 10)
+    return one_stratum(x, v, ["c"], "a", 10)
 
 
-@pytest.mark.parametrize("kind", [PassSynopsis, AggPlusUniform, UniformSampling])
+@pytest.mark.parametrize("kind", [PassSynopsis, AggPlusUniform, one_stratum])
 def test_unknown_query_column_names_it(kind):
     with pytest.raises(KeyError, match="'zz'"):
         _tiny(kind).answer(Query("sum", ("c", "zz"), (0.0, 0.0), (5.0, 1.0)))
@@ -109,7 +152,7 @@ def test_st_build_and_flags(intel_df):
 
 def test_st_more_accurate_than_us_on_strata_aligned(intel_df, intel_pdf):
     st = build_stratified(intel_df, "time", "light", n_strata=16, sample_total=300, seed=4)
-    us = UniformSampling.build(intel_df, ["time"], "light", k=300, seed=4)
+    us = build_uniform(intel_df, ["time"], "light", k=300, seed=4)
     qs = random_queries(intel_pdf, ["time"], "sum", 40, seed=5, min_count=300)
 
     def med(app):

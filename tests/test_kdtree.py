@@ -45,14 +45,14 @@ def test_sample_partition_is_exact(xy):
 def test_balance_limit(xy):
     x, a = xy
     kd = KDTree(x, a, 64, policy="pass", balance_limit=2)
-    depths = kd.leaf_depths()
+    depths = [leaf.depth for leaf in kd.leaves]
     assert max(depths) - min(depths) <= 2
 
 
 def test_us_policy_is_breadth_first(xy):
     x, a = xy
     kd = KDTree(x, a, 64, policy="us")
-    depths = kd.leaf_depths()
+    depths = [leaf.depth for leaf in kd.leaves]
     assert max(depths) - min(depths) <= 1
 
 
@@ -95,20 +95,17 @@ def test_leaf_max_variance_sum_positive():
     rng = np.random.default_rng(1)
     x = rng.random((100, 2))
     a = rng.lognormal(0, 1, 100)
-    assert _leaf_max_variance(a, x, "sum", 5) > 0
-    assert _leaf_max_variance(a, x, "avg", 5) > 0
-    assert _leaf_max_variance(a[:1], x[:1], "sum", 5) == 0.0
+    assert _leaf_max_variance(a, x) > 0
+    assert _leaf_max_variance(a[:1], x[:1]) == 0.0
 
 
 def test_leaf_max_variance_constant_values():
     x = np.random.default_rng(2).random((64, 2))
     a = np.full(64, 7.0)
-    # All-equal values: SUM variance of any half is n·q·c² − (q·c)² > 0,
-    # but AVG variance must be ~0 within any window after normalisation?
-    # AVG: 𝒱/L² = (n·L·c² − L²c²)/L² = c²(n/L − 1) > 0 — both positive is
-    # correct; what matters is they are finite and deterministic.
-    v1 = _leaf_max_variance(a, x, "sum", 5)
-    v2 = _leaf_max_variance(a, x, "sum", 5)
+    # All-equal values: SUM variance of any half is n·q·c² − (q·c)² > 0;
+    # what matters is that it is finite and deterministic.
+    v1 = _leaf_max_variance(a, x)
+    v2 = _leaf_max_variance(a, x)
     assert v1 == v2 and np.isfinite(v1)
 
 

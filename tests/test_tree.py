@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from repro.core.kdtree import KDTree
 from repro.core.synopsis import _tree_from_kd
-from repro.core.tree import Node, NodeStats, build_tree, mcf, synopsis_bytes
-from tests.reference import children, classify_one, leaf_stats, mcf_recursive
+from repro.core.tree import Node, NodeStats, build_tree, mcf, overlapping_leaves, synopsis_bytes
+from tests.reference import children, classify_one, leaf_stats, mcf_recursive, sample_only_leaves_mcf
 
 
 def leaves_from(groups, extents):
@@ -169,8 +169,8 @@ def _random_tree(draw_seed, kind, d, n_rows, n_leaves):
     return build_tree(leaf_stats(x[:, :1], v, lids, len(b) + 1), fanout=2 if kind == "1d2" else 4)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
+#: A random tree (see :func:`_random_tree`) and query bounds for 3 columns.
+TREES_AND_BOUNDS = dict(
     seed=st.integers(0, 2**32 - 1),
     kind=st.sampled_from(["1d2", "1d4", "kd"]),
     d=st.integers(1, 3),
@@ -184,8 +184,11 @@ def _random_tree(draw_seed, kind, d, n_rows, n_leaves):
         min_size=3,
         max_size=3,
     ),
-    zero_var=st.booleans(),
 )
+
+
+@settings(max_examples=150, deadline=None)
+@given(**TREES_AND_BOUNDS, zero_var=st.booleans())
 def test_mcf_equals_recursive_definition(seed, kind, d, n_rows, n_leaves, bounds, zero_var):
     """Same covered nodes and partial leaves, in the same (pre-)order, as the
     depth-first Algorithm 1 — with empty leaves, zero-variance nodes,
@@ -198,3 +201,16 @@ def test_mcf_equals_recursive_definition(seed, kind, d, n_rows, n_leaves, bounds
     want_cov, want_par = mcf_recursive(tree, lo, hi, zero_var)
     assert covered.tolist() == want_cov
     assert partial.tolist() == want_par
+
+
+@settings(max_examples=150, deadline=None)
+@given(**TREES_AND_BOUNDS)
+def test_overlapping_leaves_equal_mcf_rule(seed, kind, d, n_rows, n_leaves, bounds):
+    """The leaves a sample-only answer reads: the same, in the same
+    (pre-)order, as the MCF frontier expanded to its non-empty leaves — with
+    empty leaves, unconstrained (±inf) columns and empty ranges (lo > hi)."""
+    tree = _random_tree(seed, kind, d, n_rows, n_leaves)
+    dims = tree.nodes.pmin.shape[1]
+    lo = np.array([b[0] for b in bounds[:dims]])
+    hi = np.array([b[1] for b in bounds[:dims]])
+    assert overlapping_leaves(tree, lo, hi).tolist() == sample_only_leaves_mcf(tree, lo, hi).tolist()
