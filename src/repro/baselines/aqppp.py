@@ -148,8 +148,10 @@ def build_aqppp_1d(
     m_opt: int = 1024,
     seed: int = 0,
 ) -> AggPlusUniform:
-    """AQP++: hill-climbed 1-D partitions + K-row uniform sample."""
+    """AQP++: hill-climbed 1-D partitions + K-row uniform sample, over the
+    rows with a value."""
     t0 = time.perf_counter()
+    df = spark_build.valued(df, value_col)
     n_total = df.count()
     opt = spark_build.optimization_sample(df, value_col, [pred_col], m_opt, n_total, seed=seed)
     a = opt[value_col].to_numpy(dtype=np.float64)
@@ -182,8 +184,10 @@ def build_kd_us(
     m_opt: int = 2048,
     seed: int = 0,
 ) -> AggPlusUniform:
-    """KD-US: shallowest-first k-d partition aggregates + uniform sample."""
+    """KD-US: shallowest-first k-d partition aggregates + uniform sample,
+    over the rows with a value."""
     t0 = time.perf_counter()
+    df = spark_build.valued(df, value_col)
     n_total = df.count()
     opt = spark_build.optimization_sample(df, value_col, pred_cols, m_opt, n_total, seed=seed)
     kd = KDTree(

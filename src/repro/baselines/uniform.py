@@ -57,6 +57,8 @@ def sampled(
 def build_uniform(
     df: DataFrame, pred_cols: list[str], value_col: str, *, k: int, seed: int = 0
 ) -> PassSynopsis:
-    """US: a K-row uniform sample of the dataset answers every query."""
+    """US: a K-row uniform sample of the rows with a value answers every
+    query."""
     t0 = time.perf_counter()
+    df = spark_build.valued(df, value_col)
     return sampled(df, pred_cols, value_col, k, df.count(), seed, t0)

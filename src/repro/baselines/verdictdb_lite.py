@@ -18,6 +18,7 @@ import time
 
 from pyspark.sql import DataFrame
 
+from ..core import spark_build
 from ..core.synopsis import PassSynopsis
 from .uniform import sampled
 
@@ -30,8 +31,10 @@ def build_verdictdb(
     ratio: float,
     seed: int = 0,
 ) -> PassSynopsis:
-    """Scramble at sampling ``ratio`` ∈ (0, 1]; the table is counted once."""
+    """Scramble at sampling ``ratio`` ∈ (0, 1] of the rows with a value; the
+    table is counted once."""
     t0 = time.perf_counter()
+    df = spark_build.valued(df, value_col)
     n_total = df.count()
     k = max(1, int(round(ratio * n_total)))
     return sampled(df, pred_cols, value_col, k, n_total, seed, t0)

@@ -14,8 +14,10 @@ Implemented algorithms, matching the paper's complexity table:
 * :class:`ADP` — the ``**`` *sampling + discretisation* algorithm:
   O(k·m·log m) DP using monotonicity binary search (Appendix A.5), run
   for every row of a DP column at once over numpy index arrays, and the
-  constant-size discretised query sets (Appendix A.3/A.4): median-split
-  for SUM/COUNT, length-δm sliding-window maxima for AVG.
+  constant-size median-split query set of Appendix A.3. It minimises the
+  worst-case SUM query variance; COUNT is the same objective over a column
+  of ones. Appendix A.4's AVG objective is not reproduced: every build
+  optimises for SUM.
 """
 from __future__ import annotations
 
@@ -57,103 +59,45 @@ def assign_partitions(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class _SparseArgmax:
-    """O(1) range-argmax over a static array (standard log-table).
-
-    ``table[j, p]`` is the first argmax of ``arr[p : p + 2**j]``, so a query
-    answers with the first argmax of its range, for scalars or index arrays.
-    """
-
-    def __init__(self, arr: np.ndarray) -> None:
-        self.a = a = np.asarray(arr, dtype=np.float64)
-        n = a.size
-        cur = np.arange(n)
-        rows = [cur]
-        span = 2
-        while span <= n:
-            left = cur[: n - span + 1]
-            right = cur[span // 2 : n - span // 2 + 1][: n - span + 1]
-            cur = np.where(a[right] > a[left], right, left)
-            rows.append(cur)
-            span *= 2
-        self.table = np.zeros((len(rows), n), dtype=np.int64)
-        for j, row in enumerate(rows):
-            self.table[j, : row.size] = row
-        #: floor(log2(span)) for every possible range length.
-        self.level = np.array([s.bit_length() - 1 for s in range(n + 1)], dtype=np.int64)
-
-    def argmax(self, lo, hi):
-        """argmax of arr over the inclusive range [lo, hi], elementwise."""
-        lo, hi = np.asarray(lo), np.asarray(hi)
-        j = self.level[hi - lo + 1]
-        left = self.table[j, lo]
-        right = self.table[j, hi - (1 << j) + 1]
-        out = np.where(self.a[right] > self.a[left], right, left)
-        return int(out) if out.ndim == 0 else out
-
-
 class ADP:
     """Approximate DP partitioner (sampling + discretisation, §4.3.1).
 
-    Builds the full DP table ``A[i][j]`` for j up to ``k_max`` once, so a
-    k-sweep (Table 3) backtracks boundaries for every k ≤ k_max from one
-    optimisation — this mirrors the paper's discretisation-cache remark in
-    §5.4.2.
+    Builds the DP table ``A[i][j]`` for j up to ``k_max``. Column j depends
+    only on column j − 1, so :meth:`cuts` gives for every k ≤ ``k_max`` the
+    cuts an ``ADP(a, k)`` gives, bit for bit.
 
     Args:
         a:      aggregate values of the m optimisation samples, sorted by
                 the predicate column.
         k_max:  largest partition count to optimise for.
-        agg:    'sum' | 'count' | 'avg' — which query type's worst-case
-                variance to minimise.
-        delta:  minimum meaningful overlap as a fraction of m (AVG only);
-                the discretised AVG query length is max(2, δ·m).
     """
 
-    def __init__(self, a: np.ndarray, k_max: int, agg: str = "sum", delta: float = 0.01) -> None:
+    def __init__(self, a: np.ndarray, k_max: int) -> None:
         a = np.asarray(a, dtype=np.float64)
         self.m = m = int(a.size)
         self.k_max = max(1, min(k_max, m))
-        self.agg = agg
         # Prefix sums of t and t²: Σ t over items [lo, hi] is s[hi+1] − s[lo].
         self.s = np.concatenate([[0.0], np.cumsum(a)])
         self.q = np.concatenate([[0.0], np.cumsum(a * a)])
-        self.sparse = None
-        if agg == "avg":
-            self.L = L = max(2, int(round(delta * m)))
-            if m >= L:
-                # win[g] = Σ t² (Σ t) over the length-L window [g, g+L−1].
-                self.win_ssq = self.q[L:] - self.q[:-L]
-                self.win_sum = self.s[L:] - self.s[:-L]
-                self.sparse = _SparseArgmax(self.win_ssq)
         self._solve()
 
     # -- discretised maximum-variance query inside candidate [lo, hi] ------
 
     def mvar(self, lo, hi):
-        """Approximate max query variance inside sample-index range
-        [lo, hi] (inclusive) using the O(1) discretised sets; elementwise
-        over index arrays, a float for scalar indices."""
+        """Approximate max SUM query variance inside sample-index range
+        [lo, hi] (inclusive) from the median split of Appendix A.3,
+        q1 = [lo, mid−1] and q2 = [mid, hi]; elementwise over index arrays,
+        a float for scalar indices."""
         lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
         n = hi - lo + 1
-        if self.agg in ("sum", "count"):
-            # Median split (Appendix A.3): q1 = [lo, mid−1], q2 = [mid, hi].
-            ok = n >= 2
-            mid = np.where(ok, lo + n // 2, lo)
-            end = np.where(ok, hi + 1, lo)
-            s, q = self.s, self.q
-            v = np.maximum(
-                cal_v(n, q[mid] - q[lo], s[mid] - s[lo]),
-                cal_v(n, q[end] - q[mid], s[end] - s[mid]),
-            )
-        elif self.sparse is None:
-            ok, v = np.zeros(n.shape, dtype=bool), np.zeros(n.shape)
-        else:
-            # AVG: the best length-L window fully inside [lo, hi].
-            L = self.L
-            ok = n >= L
-            g = self.sparse.argmax(np.where(ok, lo, 0), np.where(ok, hi - L + 1, 0))
-            v = cal_v(n, self.win_ssq[g], self.win_sum[g]) / (L * L)
+        ok = n >= 2
+        mid = np.where(ok, lo + n // 2, lo)
+        end = np.where(ok, hi + 1, lo)
+        s, q = self.s, self.q
+        v = np.maximum(
+            cal_v(n, q[mid] - q[lo], s[mid] - s[lo]),
+            cal_v(n, q[end] - q[mid], s[end] - s[mid]),
+        )
         out = np.where(ok, v, 0.0)
         return float(out) if out.ndim == 0 else out
 

@@ -16,9 +16,8 @@ DataFrame/Catalyst API, and no Python code runs per row:
 * stratified sampling — exact per-stratum sample sizes without a shuffle:
   the driver keeps the K_i smallest draws of each leaf from those
   candidates. The thresholds are set before the leaf sizes are known, from
-  the optimisation sample; a leaf that comes back short (or every leaf, when
-  there were no thresholds) is scanned again, so the sample is the K_i
-  smallest draws whatever the thresholds were.
+  the optimisation sample; a leaf that comes back short is scanned again,
+  so the sample is the K_i smallest draws whatever the thresholds were.
 
 Each job runs with Spark's huge-method limit at HotSpot's 8,000-byte JIT
 limit (:func:`jit_sized_methods`): the k-d ``CASE`` would otherwise compile
@@ -56,6 +55,13 @@ def _double(x: float) -> str:
 
 def _name(col: str) -> str:
     return "`" + col.replace("`", "``") + "`"
+
+
+def valued(df: DataFrame, value_col: str) -> DataFrame:
+    """The rows of ``df`` whose value is not NULL. A row without a value has
+    nothing to aggregate: every synopsis leaves it out of its aggregates, its
+    samples and its row total."""
+    return df.where(F.col(value_col).isNotNull())
 
 
 def with_leaf_1d(df: DataFrame, pred_col: str, boundaries: np.ndarray) -> DataFrame:
@@ -201,10 +207,10 @@ def stratified_sample(
     with the smallest ``rand(seed)`` draws, leaf by leaf in draw order, as
     leaf id + ``sample_cols`` (DOUBLE, NULL as NaN).
 
-    ``candidates`` is what :func:`leaf_aggregates` returned for ``df_leaf``,
-    with ``sample_cols`` and the same seed if it was given any; ``k[i]`` must
-    not exceed the size of leaf i. The rows under a threshold include the
-    leaf's smallest draws whenever there are at least ``k[i]`` of them. A
+    ``candidates`` is what :func:`leaf_aggregates` returned for ``df_leaf``
+    given ``sample_cols`` and the same seed; ``k[i]`` must not exceed the
+    size of leaf i. The rows under a threshold include the leaf's smallest
+    draws whenever there are at least ``k[i]`` of them. A
     leaf with fewer is scanned again (one more Spark job), keeping the rows
     under :func:`candidate_threshold` of K_i and its exact size N_i; one
     still short then keeps every row. So the sample never depends on the
@@ -220,14 +226,9 @@ def stratified_sample(
             return drawn.where(f"{_DRAW} < {_by_leaf(limit)}").toPandas()
 
     ids = candidates[LEAF_COL].to_numpy(np.int64)
-    lists = {_DRAW: _DRAW, **{c: f"sample_{c}" for c in sample_cols}}
-    if _DRAW in candidates:
-        sizes = candidates[_DRAW].map(len).to_numpy()
-        rows = pd.DataFrame({LEAF_COL: np.repeat(ids, sizes)})
-        for name, col in lists.items():
-            rows[name] = np.concatenate([[], *candidates[col]]).astype(np.float64)
-    else:  # aggregates only: every sampled leaf is scanned
-        rows = pd.DataFrame({LEAF_COL: np.zeros(0, np.int64), **{name: np.zeros(0) for name in lists}})
+    rows = pd.DataFrame({LEAF_COL: np.repeat(ids, candidates[_DRAW].map(len).to_numpy())})
+    for name, col in {_DRAW: _DRAW, **{c: f"sample_{c}" for c in sample_cols}}.items():
+        rows[name] = np.concatenate([[], *candidates[col]]).astype(np.float64)
     n = np.zeros(len(k))
     n[ids] = candidates["agg_count"].to_numpy(np.float64)
     for limit in (candidate_threshold(k, n), 1.0):

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from . import spark_build
 from .kdtree import KDNode, KDTree
@@ -109,32 +108,25 @@ class PassSynopsis:
         m_opt: int = 1024,
         fanout: int = 2,
         sample_cols: list[str] | None = None,
-        boundaries: np.ndarray | None = None,
         seed: int = 0,
     ) -> "PassSynopsis":
         t0 = time.perf_counter()
         n_rows = df.count()
-        opt_leaves = None
-        if boundaries is None:
-            opt = spark_build.optimization_sample(
-                df, value_col, [pred_col], m_opt, n_rows, seed=seed
-            )
-            a = opt[value_col].to_numpy(dtype=np.float64)
-            c = opt[pred_col].to_numpy(dtype=np.float64)
-            if partitioner == "adp":
-                cuts, _ = ADP(a, k_partitions).cuts(k_partitions)
-            elif partitioner == "eq":
-                cuts = equal_depth_cuts(len(a), k_partitions)
-            else:
-                raise ValueError(f"unknown partitioner {partitioner!r}")
-            boundaries = cuts_to_boundaries(c, cuts)
-            opt_leaves = assign_partitions(c, boundaries)
+        opt = spark_build.optimization_sample(df, value_col, [pred_col], m_opt, n_rows, seed=seed)
+        a = opt[value_col].to_numpy(dtype=np.float64)
+        c = opt[pred_col].to_numpy(dtype=np.float64)
+        if partitioner == "adp":
+            cuts, _ = ADP(a, k_partitions).cuts(k_partitions)
+        elif partitioner == "eq":
+            cuts = equal_depth_cuts(len(a), k_partitions)
+        else:
+            raise ValueError(f"unknown partitioner {partitioner!r}")
+        boundaries = cuts_to_boundaries(c, cuts)
         df_leaf = spark_build.with_leaf_1d(df, pred_col, boundaries)
-        b = np.asarray(boundaries, dtype=np.float64)
         return cls._finish(
             df_leaf, [pred_col], value_col, len(boundaries) + 1, None, sample_total,
-            "equal", fanout, sample_cols, seed, t0, n_rows, opt_leaves,
-            assign=lambda x: assign_partitions(np.asarray(x, float)[:, 0], b),
+            "equal", fanout, sample_cols, seed, t0, n_rows, assign_partitions(c, boundaries),
+            assign=lambda x: assign_partitions(np.asarray(x, float)[:, 0], boundaries),
         )
 
     @classmethod
@@ -169,19 +161,12 @@ class PassSynopsis:
         cls, df_leaf, pred_cols, value_col, n_leaves, kd, sample_total,
         alloc, fanout, sample_cols, seed, t0, n_rows, opt_leaves, assign,
     ) -> "PassSynopsis":
-        # A row whose value is NULL has nothing to aggregate: it is left out
-        # of the leaf aggregates, the samples and the row total alike.
-        df_leaf = df_leaf.where(F.col(value_col).isNotNull())
+        df_leaf = spark_build.valued(df_leaf, value_col)
         sample_cols = list(sample_cols) if sample_cols is not None else list(pred_cols)
         drawn = [*sample_cols, value_col]
         # One job: the leaf aggregates, and the candidate rows of the samples.
-        # Without an optimisation sample there is nothing to set thresholds
-        # from: the aggregates come alone, and the sample from one more scan.
-        sample = None
-        if opt_leaves is not None:
-            thresholds = sample_thresholds(n_rows, opt_leaves, n_leaves, sample_total, alloc)
-            sample = (drawn, thresholds, seed)
-        agg_pdf = spark_build.leaf_aggregates(df_leaf, value_col, pred_cols, sample)
+        thresholds = sample_thresholds(n_rows, opt_leaves, n_leaves, sample_total, alloc)
+        agg_pdf = spark_build.leaf_aggregates(df_leaf, value_col, pred_cols, (drawn, thresholds, seed))
         leaves = spark_build.leaves_from_aggregates(agg_pdf, pred_cols, n_leaves)
         if kd is None:
             tree = build_tree(leaves, fanout=fanout)

@@ -13,7 +13,6 @@ testbed; see DESIGN.md §3.7 for the substitution rationale.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +24,6 @@ from .baselines.deepdb_lite import DeepDBLite
 from .baselines.stratified import build_stratified
 from .baselines.uniform import build_uniform
 from .baselines.verdictdb_lite import build_verdictdb
-from .core.partitioner import ADP, cuts_to_boundaries
-from .core.spark_build import optimization_sample
 from .core.synopsis import PassSynopsis
 from .harness import EvalStats, evaluate, markdown_table, pct
 from .workload import random_queries
@@ -85,17 +82,6 @@ def _dataset(spark: SparkSession, name: str, sc: Scale):
     return pdf, df, pred, value
 
 
-def _adp_boundaries(df, pred, value, sc: Scale, k: int):
-    """Shared ADP optimisation for all PASS variants on one dataset."""
-    t0 = time.perf_counter()
-    n_total = df.count()
-    opt = optimization_sample(df, value, [pred], sc.m_opt, n_total, seed=sc.seed)
-    adp = ADP(opt[value].to_numpy(float), k, agg="sum", delta=0.01)
-    cuts, _ = adp.cuts(k)
-    boundaries = cuts_to_boundaries(opt[pred].to_numpy(float), cuts)
-    return boundaries, adp, opt, time.perf_counter() - t0
-
-
 # ---------------------------------------------------------------------------
 # Table 1 — accuracy of US / ST / AQP++ / PASS-{ESS,BSS2x,BSS10x}
 # ---------------------------------------------------------------------------
@@ -112,15 +98,11 @@ def run_table1(spark: SparkSession, scale: str = "test"):
         n = len(pdf)
         K = max(50, int(sc.sample_rate * n))
         B = sc.n_partitions
-        boundaries, _, _, adp_secs = _adp_boundaries(df, pred, value, sc, B)
 
         def build_pass(budget):
-            syn = PassSynopsis.build_1d(
-                df, pred, value, k_partitions=B, sample_total=budget,
-                boundaries=boundaries, seed=sc.seed,
+            return PassSynopsis.build_1d(
+                df, pred, value, k_partitions=B, sample_total=budget, m_opt=sc.m_opt, seed=sc.seed
             )
-            syn.build_seconds += adp_secs
-            return syn
 
         approaches = {
             "US": build_uniform(df, [pred], value, k=K, seed=sc.seed),
@@ -279,37 +261,26 @@ def run_table2(spark: SparkSession, scale: str = "test"):
 
 
 def run_table3(spark: SparkSession, scale: str = "test", ks=(4, 8, 16, 32, 64, 128)):
-    """k-sweep on the NYC dataset (paper Table 3). The ADP table is built
-    once for k_max and reused for every k (the paper's discretisation
-    cache), so preprocessing cost grows mildly with k."""
+    """k-sweep on the NYC dataset (paper Table 3): one ``build_1d`` per k,
+    whose ``build_seconds`` is the k's preprocessing cost."""
     sc = SCALES[scale]
     pdf, df, pred, value = _dataset(spark, "NYC", sc)
     n = len(pdf)
     ks = [k for k in ks if k <= max(4, n // 50)]
     K = max(50, int(sc.sample_rate * n))
-    n_total = df.count()
-    t0 = time.perf_counter()
-    opt = optimization_sample(df, value, [pred], sc.m_opt, n_total, seed=sc.seed)
-    adp = ADP(opt[value].to_numpy(float), max(ks), agg="sum", delta=0.01)
-    adp_secs = time.perf_counter() - t0
     qs = random_queries(pdf, [pred], "sum", sc.n_queries, seed=sc.seed + 5, min_count=20)
     out_rows = []
     stats_by_k = {}
     for k in ks:
-        t1 = time.perf_counter()
-        cuts, _ = adp.cuts(k)
-        boundaries = cuts_to_boundaries(opt[pred].to_numpy(float), cuts)
         syn = PassSynopsis.build_1d(
-            df, pred, value, k_partitions=k, sample_total=10 * K,
-            boundaries=boundaries, seed=sc.seed,
+            df, pred, value, k_partitions=k, sample_total=10 * K, m_opt=sc.m_opt, seed=sc.seed
         )
-        cost = adp_secs + (time.perf_counter() - t1)
         st = evaluate(syn, qs, pdf, value, name=f"k={k}")
         stats_by_k[k] = st
         out_rows.append(
             [
                 str(k),
-                f"{cost:.1f}",
+                f"{syn.build_seconds:.1f}",
                 f"{st.mean_latency_ms:.2f}",
                 f"{st.max_latency_ms:.2f}",
                 pct(st.median_rel_err),

@@ -4,8 +4,9 @@ Random rectangular queries are grounded on actual data values: each
 endpoint pair is drawn from the column's values, guaranteeing the paper's
 "meaningful query" assumption (every query that partially overlaps a
 partition overlaps it non-trivially). Challenging queries (§5.3) are
-drawn from inside the maximum-variance interval located with the same
-length-δm sliding-window discretisation the ADP optimiser uses.
+drawn from inside the maximum-variance interval, located with a
+length-δn sliding window over Σt² (the discretisation Appendix A.4 uses
+for AVG queries; the ADP optimiser here minimises the SUM objective only).
 """
 from __future__ import annotations
 
@@ -57,7 +58,7 @@ def max_variance_interval(
     pdf: pd.DataFrame, pred_col: str, value_col: str, *, delta: float = 0.01
 ) -> tuple[float, float]:
     """Predicate range of the maximum-Σt² window of length δ·n — the
-    'challenging' region of §5.3, found with the §4.3.1 discretisation."""
+    'challenging' region of §5.3."""
     s = pdf.sort_values(pred_col)
     a = s[value_col].to_numpy(dtype=np.float64)
     c = s[pred_col].to_numpy(dtype=np.float64)

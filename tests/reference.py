@@ -187,17 +187,16 @@ def max_var_query_avg_exact(ps: PrefixStats, lo: int, hi: int, min_len: int = 1)
     return best
 
 
-def dp_exact(a: np.ndarray, k: int, agg: str = "sum", min_len: int = 1) -> tuple[list[int], float]:
-    """The naive O(k·m⁴) dynamic program with exhaustive query enumeration:
-    the gold partitioning the approximate algorithms are tested against."""
+def dp_exact(a: np.ndarray, k: int) -> tuple[list[int], float]:
+    """The naive O(k·m⁴) dynamic program with exhaustive SUM query
+    enumeration: the gold partitioning the approximate algorithms are tested
+    against."""
     m = int(len(a))
     k = min(k, m)
     ps = PrefixStats(a)
 
     def mvar(lo: int, hi: int) -> float:
-        if agg in ("sum", "count"):
-            return max_var_query_sum_exact(ps, lo, hi)
-        return max_var_query_avg_exact(ps, lo, hi, min_len=min_len)
+        return max_var_query_sum_exact(ps, lo, hi)
 
     INF = float("inf")
     A = [[INF] * (k + 1) for _ in range(m + 1)]
@@ -226,30 +225,16 @@ def dp_exact(a: np.ndarray, k: int, agg: str = "sum", min_len: int = 1) -> tuple
     return cuts, A[m][k]
 
 
-def adp_tables(a: np.ndarray, k_max: int, agg: str = "sum", delta: float = 0.01):
+def adp_tables(a: np.ndarray, k_max: int):
     """ADP's DP tables ``(A, B)`` with the binary search of Appendix A.5 run
     one row ``i`` at a time and one scalar ``mvar`` per probe, as lists."""
     a = np.asarray(a, dtype=np.float64)
     m = int(a.size)
     k_max = max(1, min(k_max, m))
     ps = PrefixStats(a)
-    L = max(2, int(round(delta * m)))
-    win_ssq = win_sum = None
-    if m >= L:
-        csq = np.concatenate([[0.0], np.cumsum(a * a)])
-        cs = np.concatenate([[0.0], np.cumsum(a)])
-        win_ssq, win_sum = csq[L:] - csq[:-L], cs[L:] - cs[:-L]
 
     def mvar(lo: int, hi: int) -> float:
-        if hi < lo:
-            return 0.0
-        if agg in ("sum", "count"):
-            return max_var_query_sum(ps, lo, hi)
-        n = hi - lo + 1
-        if n < L or win_ssq is None:
-            return 0.0
-        g = lo + int(np.argmax(win_ssq[lo : hi - L + 2]))  # first best window
-        return cal_v(n, win_ssq[g], win_sum[g]) / (L * L)
+        return max_var_query_sum(ps, lo, hi)
 
     A = [[0.0] * (k_max + 1) for _ in range(m + 1)]
     B = [[0] * (k_max + 1) for _ in range(m + 1)]

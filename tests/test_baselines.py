@@ -1,14 +1,17 @@
 """Baselines: US, ST, AQP++, KD-US, VerdictDB-lite, DeepDB-lite."""
 import numpy as np
+import pandas as pd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pyspark.sql import types as T
 
 from repro.baselines.aqppp import AggPlusUniform, build_aqppp_1d, build_kd_us, hill_climb_cuts
 from repro.baselines.deepdb_lite import DeepDBLite
 from repro.baselines.stratified import build_stratified
 from repro.baselines.uniform import build_uniform, one_stratum
 from repro.baselines.verdictdb_lite import build_verdictdb
+from repro.core import spark_build
 from repro.core.query import Query
 from repro.core.synopsis import PassSynopsis
 from repro.core.tree import NodeStats, build_tree
@@ -272,6 +275,44 @@ def test_verdictdb_10_less_accurate_smaller(intel_df, intel_pdf):
         [abs(v100.answer(q).est - q.truth(intel_pdf, "light")) / q.truth(intel_pdf, "light") for q in qs]
     )
     assert e100 <= e10
+
+
+# -- NULL aggregation values -----------------------------------------------
+
+
+def test_null_values_left_out_of_sampling_baselines(spark, intel_df):
+    """Rows whose value is NULL are left out of US, VerdictDB-lite, AQP++ and
+    KD-US, as they are of PASS: the row total counts the rows with a value,
+    and SUM and AVG stay finite. On a frame without NULLs the US sample is
+    the plain uniform sample."""
+    g = np.random.default_rng(4)
+    n = 1000
+    c, w, v = g.random(n) * 100, g.random(n) * 10, g.lognormal(0, 1, n)
+    null = np.zeros(n, dtype=bool)
+    null[g.choice(n, 10, replace=False)] = True
+    schema = T.StructType([T.StructField(col, T.DoubleType()) for col in ("c", "w", "v")])
+    rows = [(float(ci), float(wi), None if z else float(vi)) for ci, wi, vi, z in zip(c, w, v, null)]
+    df = spark.createDataFrame(rows, schema)
+    valued = pd.DataFrame({"c": c, "w": w, "v": v})[~null]
+    approaches = {
+        "US": build_uniform(df, ["c"], "v", k=200, seed=1),
+        "VerdictDB-100%": build_verdictdb(df, ["c"], "v", ratio=1.0, seed=1),
+        "AQP++": build_aqppp_1d(df, "c", "v", n_partitions=8, k_sample=200, m_opt=200, seed=1),
+        "KD-US": build_kd_us(df, ["c", "w"], "v", k_leaves=8, k_sample=200, m_opt=200, seed=1),
+    }
+    for name, app in approaches.items():
+        assert app.n_total == n - 10, name
+        for agg in ("sum", "avg"):
+            q = Query(agg, ("c",), (20.0,), (70.0,))
+            res = app.answer(q)
+            assert np.isfinite(res.est) and np.isfinite(res.ci_half), (name, agg)
+            if name == "VerdictDB-100%":
+                assert res.est == pytest.approx(q.truth(valued, "v"), rel=1e-9)
+    us = build_uniform(intel_df, ["time"], "light", k=300, seed=1)
+    plain = spark_build.uniform_sample(intel_df, "light", ["time"], 300, seed=1)
+    (x, sv), = us.samples.values()
+    assert np.array_equal(x[:, 0], plain["time"].to_numpy(np.float64))
+    assert np.array_equal(sv, plain["light"].to_numpy(np.float64))
 
 
 # -- DeepDB-lite ---------------------------------------------------------

@@ -9,7 +9,6 @@ from repro.core.partitioner import (
     assign_partitions,
     cuts_to_boundaries,
     equal_depth_cuts,
-    _SparseArgmax,
 )
 from repro.synth_data import nyc_taxi_pdf
 from tests.reference import PrefixStats, adp_tables, dp_exact, max_var_query_sum_exact
@@ -29,26 +28,12 @@ def test_equal_depth_cuts_cover_and_balance(m, k):
     assert max(sizes) - min(sizes) <= 1
 
 
-# -- sparse argmax -------------------------------------------------------
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 100])
-def test_sparse_argmax_matches_numpy(n):
-    a = np.random.default_rng(n).random(n)
-    sp = _SparseArgmax(a)
-    for _ in range(50):
-        lo = int(rng.integers(0, n))
-        hi = int(rng.integers(lo, n))
-        got = sp.argmax(lo, hi)
-        assert a[got] == pytest.approx(a[lo : hi + 1].max())
-
-
 # -- exact DP ------------------------------------------------------------
 
 
 def test_dp_exact_partitions_valid():
     a = rng.lognormal(0, 1, 30)
-    cuts, v = dp_exact(a, 4, "sum")
+    cuts, v = dp_exact(a, 4)
     assert cuts[0] == 0 and cuts[-1] == 30
     assert v >= 0
 
@@ -58,7 +43,7 @@ def test_dp_exact_beats_equal_depth_on_adversarial():
     must be at least as good as equal-depth."""
     a = np.concatenate([np.zeros(24), rng.normal(100, 10, 8)])
     ps = PrefixStats(a)
-    cuts_dp, _ = dp_exact(a, 4, "sum")
+    cuts_dp, _ = dp_exact(a, 4)
     cuts_eq = equal_depth_cuts(32, 4)
 
     def true_obj(cuts):
@@ -71,7 +56,7 @@ def test_dp_exact_beats_equal_depth_on_adversarial():
 
 def test_dp_exact_k_equals_m_zero_variance():
     a = rng.random(6)
-    cuts, v = dp_exact(a, 6, "sum")
+    cuts, v = dp_exact(a, 6)
     assert v == pytest.approx(0.0)
     assert cuts == list(range(7))
 
@@ -79,11 +64,17 @@ def test_dp_exact_k_equals_m_zero_variance():
 # -- ADP -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("agg", ["sum", "avg", "count"])
+def _column(agg: str, a: np.ndarray) -> np.ndarray:
+    """The values ADP optimises for ``agg`` queries over ``a``: COUNT is SUM
+    over a column of ones."""
+    return np.ones_like(a) if agg == "count" else a
+
+
+@pytest.mark.parametrize("agg", ["sum", "count"])
 @pytest.mark.parametrize("m,k", [(64, 4), (200, 8), (200, 1)])
 def test_adp_cuts_are_valid_partitioning(agg, m, k):
-    a = rng.lognormal(0, 1, m)
-    cuts, v = ADP(a, k, agg=agg, delta=0.05).cuts(k)
+    a = _column(agg, rng.lognormal(0, 1, m))
+    cuts, v = ADP(a, k).cuts(k)
     assert cuts[0] == 0 and cuts[-1] == m
     assert all(b > a_ for a_, b in zip(cuts, cuts[1:]))
     assert len(cuts) <= k + 1
@@ -103,8 +94,8 @@ def test_adp_within_constant_of_exact_dp():
                 max_var_query_sum_exact(ps, lo, hi - 1) for lo, hi in zip(cuts, cuts[1:])
             )
 
-        cuts_opt, _ = dp_exact(a, 4, "sum")
-        cuts_apx, _ = ADP(a, 4, agg="sum").cuts(4)
+        cuts_opt, _ = dp_exact(a, 4)
+        cuts_apx, _ = ADP(a, 4).cuts(4)
         # Paper bound: error ratio 2√2 → variance ratio (2√2)² = 8.
         assert true_obj(cuts_apx) <= 8 * true_obj(cuts_opt) + 1e-9
 
@@ -113,36 +104,31 @@ def test_adp_adversarial_isolates_tail():
     """The paper's §5.3 story: ADP must place ~all cuts in the high-variance
     tail, with one cut landing at the zero/normal boundary."""
     a = np.concatenate([np.zeros(875), np.random.default_rng(0).normal(100, 10, 125)])
-    cuts, _ = ADP(a, 8, agg="sum").cuts(8)
+    cuts, _ = ADP(a, 8).cuts(8)
     assert 875 in cuts
     assert sum(c >= 875 for c in cuts) >= 7
 
 
 def test_adp_k_sweep_shares_table():
+    """One table for k_max serves every k ≤ k_max: its cuts and value are an
+    ``ADP(a, k)``'s, bit for bit, and more partitions never hurt."""
     a = rng.lognormal(0, 1, 300)
-    opt = ADP(a, 16, agg="sum")
+    opt = ADP(a, 16)
     prev = None
-    for k in (2, 4, 8, 16):
+    for k in range(1, 17):
         cuts, v = opt.cuts(k)
         assert cuts[0] == 0 and cuts[-1] == 300
+        assert (cuts, v) == ADP(a, k).cuts(k)
         if prev is not None:
-            assert v <= prev + 1e-9  # more partitions never hurt
+            assert v <= prev + 1e-9
         prev = v
-
-
-def test_adp_avg_requires_window():
-    a = rng.random(100)
-    opt = ADP(a, 4, agg="avg", delta=0.1)
-    assert opt.L == 10
-    cuts, v = opt.cuts(4)
-    assert len(cuts) == 5
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(0, 100), min_size=8, max_size=60), st.integers(2, 6))
 def test_adp_always_valid(vals, k):
     a = np.asarray(vals)
-    cuts, v = ADP(a, k, agg="sum").cuts(k)
+    cuts, v = ADP(a, k).cuts(k)
     assert cuts[0] == 0 and cuts[-1] == len(a)
     assert v >= -1e-9
 
@@ -166,24 +152,22 @@ def test_adp_lockstep_equals_scalar_dp(data):
     one scalar search per row ``i``."""
     m = data.draw(st.integers(1, 120))
     k = data.draw(st.integers(1, m + 2))
-    agg = data.draw(st.sampled_from(["sum", "count", "avg"]))
     kind = data.draw(st.sampled_from(["random", "zero", "constant", "duplicates"]))
-    delta = data.draw(st.sampled_from([0.01, 0.05, 0.2]))
     a = _values(kind, m, data.draw)
-    opt = ADP(a, k, agg=agg, delta=delta)
-    A, B = adp_tables(a, k, agg=agg, delta=delta)
+    opt = ADP(a, k)
+    A, B = adp_tables(a, k)
     assert np.array_equal(opt.A, np.asarray(A))
     assert np.array_equal(opt.B, np.asarray(B))
 
 
-@pytest.mark.parametrize("agg", ["sum", "avg"])
+@pytest.mark.parametrize("agg", ["sum", "count"])
 def test_adp_lockstep_equals_scalar_dp_at_build_scale(agg):
     """The same on the 1,024-item optimisation-sample shape of a NYC build,
     64 partitions."""
     pdf = nyc_taxi_pdf(n=20000).sample(n=1024, random_state=0).sort_values("pickup_ts")
-    a = pdf["trip_distance"].to_numpy(np.float64)
-    A, B = adp_tables(a, 64, agg=agg)
-    opt = ADP(a, 64, agg=agg)
+    a = _column(agg, pdf["trip_distance"].to_numpy(np.float64))
+    A, B = adp_tables(a, 64)
+    opt = ADP(a, 64)
     assert np.array_equal(opt.A, np.asarray(A))
     assert np.array_equal(opt.B, np.asarray(B))
 

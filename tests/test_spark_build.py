@@ -358,17 +358,6 @@ def build_samples_equal_window(syn, udf_leaf, sample_total, alloc, seed):
         assert np.array_equal(v, grp[syn.value_col].to_numpy(np.float64))
 
 
-def test_build_with_given_boundaries_equals_window(intel_df):
-    """A build with caller-given boundaries has no optimisation sample to set
-    thresholds from: it aggregates, then scans once with thresholds from the
-    exact leaf sizes, and the samples are the window's."""
-    b = np.array([5000.0, 40000.0, 41000.0, 150000.0])
-    syn = PassSynopsis.build_1d(
-        intel_df, "time", "light", k_partitions=5, sample_total=250, boundaries=b, seed=13
-    )
-    build_samples_equal_window(syn, udf_leaf_1d(intel_df, "time", b), 250, "equal", 13)
-
-
 def test_kd_build_equals_window(nyc_df, nyc_kd_synopsis):
     """The fixture KD-PASS build (samples carry a column the tree is not
     built on) samples exactly the window's rows."""
@@ -381,12 +370,14 @@ def test_build_restores_huge_method_limit(spark, intel_df):
     """A build runs its Spark jobs under a huge-method limit of at most 8,000
     and leaves the setting exactly as it found it: unset, a lower value the
     caller set (kept during the build too), or a higher one, also when a
-    job fails."""
+    job fails. The failing build's optimisation sample does not read the
+    column that raises; its leaf aggregates job, which samples it, does."""
     key = "spark.sql.codegen.hugeMethodLimit"
-    b = np.array([30000.0, 90000.0])
 
     def build(df):
-        return PassSynopsis.build_1d(df, "time", "light", k_partitions=3, sample_total=60, boundaries=b)
+        return PassSynopsis.build_1d(
+            df, "time", "light", k_partitions=3, sample_total=60, sample_cols=["time", "boom"]
+        )
 
     seen = []
     jit = spark_build.jit_sized_methods
@@ -399,23 +390,26 @@ def test_build_restores_huge_method_limit(spark, intel_df):
                 yield
         return inner()
 
-    failing = intel_df.withColumn("light", F.expr("IF(time > 0, raise_error('boom'), light)"))
+    working = intel_df.withColumn("boom", F.col("time"))
+    failing = intel_df.withColumn("boom", F.expr("IF(time > 0, raise_error('boom'), time)"))
     try:
         spark.conf.unset(key)
         spark_build.jit_sized_methods = spy
-        build(intel_df)
+        build(working)
         assert spark.conf.get(key, None) is None and seen[-1] == "8000"
         for before, during in (("4000", "4000"), ("65535", "8000")):
             spark.conf.set(key, before)
-            build(intel_df)
+            build(working)
             assert spark.conf.get(key) == before and seen[-1] == during
+            seen.clear()
             with pytest.raises(Exception, match="boom"):
                 build(failing)
-            assert spark.conf.get(key) == before and seen[-1] == during
+            assert spark.conf.get(key) == before and seen == [during]
         spark.conf.unset(key)
+        seen.clear()
         with pytest.raises(Exception, match="boom"):
             build(failing)
-        assert spark.conf.get(key, None) is None
+        assert spark.conf.get(key, None) is None and seen == ["8000"]
     finally:
         spark_build.jit_sized_methods = jit
         spark.conf.unset(key)
