@@ -47,29 +47,32 @@ class Query:
     def box(self, cols: list[str]) -> tuple[np.ndarray, np.ndarray, bool]:
         """Query rectangle over ``cols`` (±inf for unconstrained columns)
         and whether the query also constrains a column outside ``cols``
-        (workload shift, §5.4.1)."""
-        lo = np.full(len(cols), -np.inf)
-        hi = np.full(len(cols), np.inf)
+        (workload shift, §5.4.1). A column named twice keeps the
+        intersection of its ranges, as :meth:`mask` does."""
+        lo = [-np.inf] * len(cols)
+        hi = [np.inf] * len(cols)
         external = False
         for c, l, h in zip(self.cols, self.lo, self.hi):
             if c in cols:
                 j = cols.index(c)
-                lo[j], hi[j] = l, h
+                lo[j] = max(l, lo[j])
+                hi[j] = min(h, hi[j])
             else:
                 external = True
-        return lo, hi, external
+        return np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64), external
 
     def sample_mask(self, x: np.ndarray, cols: list[str]) -> np.ndarray:
         """Boolean match vector over the rows of a sample matrix ``x``
         whose columns are ``cols``; a query column not among ``cols``
         raises :class:`KeyError`."""
-        m = np.ones(len(x), dtype=bool)
+        m = None
         for c, lo, hi in zip(self.cols, self.lo, self.hi):
             if c not in cols:
                 raise KeyError(f"query column {c!r} not in sample columns {cols}")
-            j = cols.index(c)
-            m &= (x[:, j] >= lo) & (x[:, j] <= hi)
-        return m
+            v = x[:, cols.index(c)]
+            hit = (v >= lo) & (v <= hi)
+            m = hit if m is None else m & hit
+        return np.ones(len(x), dtype=bool) if m is None else m
 
     def truth(self, pdf: pd.DataFrame, value_col: str) -> float:
         """Exact answer over the full data (ground truth for the harness)."""

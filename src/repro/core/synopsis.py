@@ -25,6 +25,7 @@ VerdictDB-lite, a single leaf indexed on no column
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -191,27 +192,29 @@ class PassSynopsis:
     def answer(self, q: Query) -> AqpResult:
         lo, hi, external = q.box(self.pred_cols)
         nodes = self.tree.nodes
-        if external or not self.use_aggregates:
+        exact = self.use_aggregates and not external
+        if exact:
+            covered, partial = mcf(self.tree, lo, hi)
+            lb, ub = hard_bounds(q.agg, nodes, covered, partial)
+        else:
             # Coverage cannot be certified (§5.4.1), or there are no aggregates
             # to certify it with: every non-empty leaf that overlaps the query
             # is answered from its samples.
             partial = overlapping_leaves(self.tree, lo, hi)
             covered = partial[:0]
             lb = ub = float("nan")
-        else:
-            covered, partial = mcf(self.tree, lo, hi, zero_var_as_covered=q.agg == "avg")
-            lb, ub = hard_bounds(q.agg, nodes, covered, partial)
         n_strata = nodes.count[partial]
         skipped = 1.0 - float(n_strata.sum()) / self.n_total if self.n_total else 0.0
         # The sampled rows of every partial leaf, leaf after leaf.
-        no_sample = (np.empty((0, len(self.sample_cols))), np.empty(0))
-        drawn = [self.samples.get(lid, no_sample) for lid in self.tree.leaf_id[partial].tolist()]
+        drawn = [self.samples.get(lid) for lid in self.tree.leaf_id[partial].tolist()]
+        if not drawn or None in drawn:
+            no_sample = (np.empty((0, len(self.sample_cols))), np.empty(0))
+            drawn = [no_sample if d is None else d for d in drawn]
         sizes = np.array([len(v) for _, v in drawn], dtype=np.int64)
         if len(drawn) == 1:  # one stratum: its arrays as they are, not a copy
             x, v = drawn[0]
         else:
-            x = np.concatenate([x for x, _ in drawn]) if drawn else no_sample[0]
-            v = np.concatenate([v for _, v in drawn]) if drawn else no_sample[1]
+            x, v = map(np.concatenate, zip(*drawn)) if drawn else no_sample
         m = q.sample_mask(x, self.sample_cols)
         processed = int(v.size)
 
@@ -219,10 +222,10 @@ class PassSynopsis:
             e, vr, _ = stratum_estimate(q.agg, v, m, sizes, n_strata)
             est = getattr(nodes, q.agg)[covered].sum() + e.sum()
             var = vr.sum()
-            idle = partial[sizes == 0]
-            if idle.size:
+            if not sizes.all():
                 # A stratum with no sample falls back to the midpoint of its
                 # hard-bound range, with the range half-width as the deviation.
+                idle = partial[sizes == 0]
                 if q.agg == "sum":
                     r_lo, r_hi = sum_range(nodes, idle)
                 else:
@@ -230,10 +233,15 @@ class PassSynopsis:
                 half = (r_hi - r_lo) / 2.0
                 est += (r_lo + half).sum()
                 var += (half * half).sum()
-            return AqpResult(float(est), LAMBDA_99 * float(np.sqrt(var)), lb, ub, processed, skipped)
+            return AqpResult(float(est), LAMBDA_99 * math.sqrt(var), lb, ub, processed, skipped)
 
         if q.agg == "avg":
             e, vr, k_pred = stratum_estimate("avg", v, m, sizes, n_strata)
+            if exact:
+                # §3.4: a partial leaf whose values are all equal has that exact mean.
+                zero = nodes.zero_variance[partial]
+                e[zero] = nodes.min[partial[zero]]
+                vr[zero] = 0.0
             use = k_pred > 0
             means = np.concatenate([nodes.sum[covered] / nodes.count[covered], e[use]])
             variances = np.concatenate([np.zeros(covered.size), vr[use]])
@@ -246,7 +254,7 @@ class PassSynopsis:
             w = weights / weights.sum()
             est = float(np.dot(w, means))
             var = float(np.dot(w * w, variances))
-            return AqpResult(est, LAMBDA_99 * float(np.sqrt(var)), lb, ub, processed, skipped)
+            return AqpResult(est, LAMBDA_99 * math.sqrt(var), lb, ub, processed, skipped)
 
         # MIN / MAX: exact over covered nodes, sampled over partial leaves;
         # the deterministic bounds are the uncertainty quantification.

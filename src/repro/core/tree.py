@@ -60,15 +60,16 @@ def classify(nodes: NodeStats, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarr
     lie inside it, and 'partial' otherwise (``overlap & ~covered``).
     """
     missed = nodes.count == 0
-    inside = np.ones(len(nodes), dtype=bool)
+    # A non-empty node has pmin <= pmax, so inside implies overlap; a NaN
+    # extent neither misses nor lies inside, so its node is 'partial'.
+    inside = ~missed
     for j in range(len(lo)):  # column by column: cheaper than row reductions
         pmin, pmax = nodes.pmin[:, j], nodes.pmax[:, j]
         missed |= pmax < lo[j]
         missed |= pmin > hi[j]
         inside &= lo[j] <= pmin
         inside &= pmax <= hi[j]
-    overlap = ~missed
-    return overlap, overlap & inside
+    return ~missed, inside
 
 
 class Tree:
@@ -76,7 +77,9 @@ class Tree:
 
     Attributes:
         nodes:     the per-node aggregate arrays; the only copy of node state.
-        leaf_id:   stratum id (>= 0) of each leaf node, -1 for internal nodes.
+        leaf_id:   stratum id (>= 0) of each leaf node, -1 for internal nodes;
+                   ``is_leaf`` is ``leaf_id >= 0``.
+        parent:    parent node index of each node; the root is its own parent.
         end:       the subtree of node ``i`` is the node range ``[i, end[i])``.
         leaf_node: node index of each leaf id.
         paths:     node indices root → leaf, per leaf id (for inserts, §4.5).
@@ -101,27 +104,28 @@ class Tree:
                 visit(c, i, dep + 1)
             end[i] = len(parent)
 
-        visit(root, -1, 0)
+        visit(root, 0, 0)  # the root, node 0, is its own parent
         self.leaf_id = np.array(leaf_id, dtype=np.int64)
+        self.is_leaf = self.leaf_id >= 0
         self.end = np.array(end, dtype=np.int64)
-        is_leaf = self.leaf_id >= 0
         self.leaf_node = np.empty(len(leaves), dtype=np.int64)
-        self.leaf_node[self.leaf_id[is_leaf]] = np.flatnonzero(is_leaf)
+        self.leaf_node[self.leaf_id[self.is_leaf]] = np.flatnonzero(self.is_leaf)
         self.paths = []
         for node in self.leaf_node.tolist():
             path = [node]
-            while parent[path[-1]] >= 0:
+            while path[-1]:
                 path.append(parent[path[-1]])
             self.paths.append(np.array(path[::-1], dtype=np.int64))
         nodes = NodeStats.empty(len(parent), leaves.pmin.shape[1])
         for a in ("sum", "count", "min", "max", "pmin", "pmax"):
             getattr(nodes, a)[self.leaf_node] = getattr(leaves, a)
-        # Deepest level first; each parent folds in its children left to right.
-        parent_of = np.array(parent, dtype=np.int64)
+        # Deepest level first; each parent folds in its children left to right,
+        # so every node's count, SUM, MIN/MAX and extents enclose its children's.
+        self.parent = np.array(parent, dtype=np.int64)
         depth_of = np.array(depth, dtype=np.int64)
         for dep in range(max(depth), 0, -1):
             idx = np.flatnonzero(depth_of == dep)
-            p = parent_of[idx]
+            p = self.parent[idx]
             np.add.at(nodes.sum, p, nodes.sum[idx])
             np.add.at(nodes.count, p, nodes.count[idx])
             np.minimum.at(nodes.min, p, nodes.min[idx])
@@ -129,13 +133,6 @@ class Tree:
             np.minimum.at(nodes.pmin, p, nodes.pmin[idx])
             np.maximum.at(nodes.pmax, p, nodes.pmax[idx])
         self.nodes = nodes
-
-    def cover_count(self, idx: np.ndarray) -> np.ndarray:
-        """For every node, how many of the subtrees rooted at ``idx`` hold it
-        (its own included): +1 at each root, −1 at its subtree end, summed."""
-        n = len(self.leaf_id)
-        marks = np.bincount(idx, minlength=n + 1) - np.bincount(self.end[idx], minlength=n + 1)
-        return np.cumsum(marks[:n])
 
     @property
     def n_nodes(self) -> int:
@@ -202,34 +199,29 @@ def build_tree(leaves: NodeStats, fanout: int = 2) -> Tree:
     return Tree(leaves, (len(levels), 0), children, lambda node: -1 if node[0] else node[1])
 
 
-def mcf(
-    tree: Tree, lo: np.ndarray, hi: np.ndarray, *, zero_var_as_covered: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def mcf(tree: Tree, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimal Coverage Frontier (Algorithm 1), for every node in one pass.
 
     Returns node-index arrays ``(covered, partial)`` in pre-order: nodes
     fully inside the query rectangle with no covered ancestor (pruned as
     high in the tree as possible), and partially-overlapping *leaves* with
-    no covered ancestor. With ``zero_var_as_covered`` (the §3.4 0-variance
-    rule, valid for AVG queries) a partially overlapping node whose
-    aggregate values are all equal counts as covered.
+    no covered ancestor. Every node encloses its children (DESIGN.md §3.8),
+    so every non-empty node under a covered node is covered: a covered node
+    is on the frontier when its parent is not, and no partial leaf lies
+    under a covered node.
     """
-    nodes = tree.nodes
-    overlap, covered = classify(nodes, lo, hi)
-    if zero_var_as_covered:
-        covered |= overlap & nodes.zero_variance
-    # A covered node is on the frontier when it lies in no covered subtree
-    # but its own; a partial leaf when it lies in none.
-    depth = tree.cover_count(np.flatnonzero(covered))
-    partial = overlap & ~covered & (tree.leaf_id >= 0)
-    return np.flatnonzero(covered & (depth == 1)), np.flatnonzero(partial & (depth == 0))
+    overlap, covered = classify(tree.nodes, lo, hi)
+    frontier = covered > covered[tree.parent]  # covered, parent not covered
+    frontier[0] = covered[0]  # the root, its own parent
+    partial = (overlap > covered) & tree.is_leaf
+    return np.flatnonzero(frontier), np.flatnonzero(partial)
 
 
 def overlapping_leaves(tree: Tree, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Node indices, in pre-order, of the non-empty leaves that overlap the
     query rectangle [lo, hi]: the strata a sample-only answer reads."""
     overlap, _ = classify(tree.nodes, lo, hi)
-    return np.flatnonzero(overlap & (tree.leaf_id >= 0))
+    return np.flatnonzero(overlap & tree.is_leaf)
 
 
 def synopsis_bytes(n_nodes: int, d: int, n_rows: int, row_width: int) -> int:

@@ -48,35 +48,28 @@ def stratum_estimate(
         raise ValueError(f"stratum_estimate does not support {agg!r}")
     k = np.asarray(sizes, dtype=np.int64)
     n = np.asarray(n_strata, dtype=np.float64)
-    sampled = k > 0
-    starts = (np.cumsum(k) - k)[sampled]
-
-    def per_stratum(x: np.ndarray) -> np.ndarray:
-        """Sum of ``x`` over each stratum's rows; 0 for a stratum with none."""
-        out = np.zeros(len(k))
-        if starts.size:
-            out[sampled] = np.add.reduceat(x, starts)
+    if not k.all():  # estimate the sampled strata; one with no sample gives (0, 0, 0)
+        sampled = k > 0
+        out = np.zeros(len(k)), np.zeros(len(k)), np.zeros(len(k), dtype=np.int64)
+        for o, r in zip(out, stratum_estimate(agg, values, mask, k[sampled], n[sampled])):
+            o[sampled] = r
         return out
-
-    k_pred = per_stratum(mask.astype(np.float64)).astype(np.int64)
-    if agg == "count":
-        phi = mask * np.repeat(n, k)
-    elif agg == "sum":
-        phi = mask * values * np.repeat(n, k)
-    else:
-        hits = mask * values
-        scale = np.divide(k, k_pred, out=np.zeros(len(k)), where=k_pred > 0)
-        phi = hits * np.repeat(scale, k)
-    kf = np.maximum(k, 1).astype(np.float64)
-    mean = per_stratum(phi) / kf
-    dev = phi - np.repeat(mean, k)
+    starts = np.cumsum(k) - k
+    k_pred = np.add.reduceat(mask, starts, dtype=np.int64)
+    # φ = t·(a per-stratum scale), so each stratum's sums over t are scaled once.
+    t = mask if agg == "count" else mask * values
+    t_sum = np.add.reduceat(t, starts, dtype=np.float64)
+    dev = t - np.repeat(t_sum / k, k)
     fpc = np.maximum(0.0, np.divide(n - k, n - 1.0, out=np.zeros(len(k)), where=n > 1))
-    var = np.divide(per_stratum(dev * dev), kf - 1.0, out=np.zeros(len(k)), where=k > 1) / kf * fpc
+    var = np.divide(np.add.reduceat(dev * dev, starts), k - 1.0, out=np.zeros(len(k)), where=k > 1) / k * fpc
     if agg != "avg":
-        return mean, var, k_pred
-    est = np.divide(per_stratum(hits), k_pred, out=np.zeros(len(k)), where=k_pred > 0)
-    none = sampled & (k_pred == 0)
-    est[none] = var[none] = np.nan
+        return t_sum / k * n, var * (n * n), k_pred
+    # AVG: φ = t·K_i/k_pred, whose mean is the mean of the matching values.
+    matched = k_pred > 0
+    scale = np.divide(k, k_pred, out=np.zeros(len(k)), where=matched)
+    est = np.divide(t_sum, k_pred, out=np.zeros(len(k)), where=matched)
+    var *= scale * scale
+    est[~matched] = var[~matched] = np.nan
     return est, var, k_pred
 
 

@@ -24,6 +24,7 @@ from .baselines.deepdb_lite import DeepDBLite
 from .baselines.stratified import build_stratified
 from .baselines.uniform import build_uniform
 from .baselines.verdictdb_lite import build_verdictdb
+from .core import spark_build
 from .core.synopsis import PassSynopsis
 from .harness import EvalStats, evaluate, markdown_table, pct
 from .workload import random_queries
@@ -79,6 +80,8 @@ def _dataset(spark: SparkSession, name: str, sc: Scale):
     pdf = getattr(synth_data, gen)(n=sc.n_rows[name], seed=10 + list(DATASETS_1D).index(name))
     df = spark.createDataFrame(pdf).cache()
     df.count()
+    # Untimed warm-up: else the first build to sample the fresh cache pays it.
+    spark_build.uniform_sample(df, value, [pred], 1)
     return pdf, df, pred, value
 
 

@@ -49,10 +49,10 @@ def classify_one(nodes: NodeStats, i: int, lo, hi) -> str:
     return "partial"
 
 
-def mcf_recursive(tree: Tree, lo, hi, zero_var_as_covered: bool = False):
+def mcf_recursive(tree: Tree, lo, hi):
     """Algorithm 1 as a depth-first search from the root: stop at covered
-    (or, with the §3.4 rule, zero-variance partial) nodes, descend partial
-    ones, keep partial leaves. Returns two node-index lists in visit order."""
+    nodes, descend partial ones, keep partial leaves. Returns two node-index
+    lists in visit order."""
     nodes = tree.nodes
     covered: list[int] = []
     partial: list[int] = []
@@ -61,9 +61,7 @@ def mcf_recursive(tree: Tree, lo, hi, zero_var_as_covered: bool = False):
         cls = classify_one(nodes, i, lo, hi)
         if cls == "none":
             return
-        if cls == "covered" or (
-            zero_var_as_covered and nodes.count[i] > 0 and nodes.min[i] == nodes.max[i]
-        ):
+        if cls == "covered":
             covered.append(i)
             return
         kids = children(tree, i)
@@ -76,12 +74,20 @@ def mcf_recursive(tree: Tree, lo, hi, zero_var_as_covered: bool = False):
     return covered, partial
 
 
+def cover_count(tree: Tree, idx: np.ndarray) -> np.ndarray:
+    """For every node, how many of the subtrees rooted at ``idx`` hold it
+    (its own included): +1 at each root, −1 at its subtree end, summed."""
+    n = len(tree.leaf_id)
+    marks = np.bincount(idx, minlength=n + 1) - np.bincount(tree.end[idx], minlength=n + 1)
+    return np.cumsum(marks[:n])
+
+
 def sample_only_leaves_mcf(tree: Tree, lo, hi) -> np.ndarray:
     """The strata a sample-only answer read before it classified leaves
     directly: run MCF, then take every non-empty leaf under a covered
     frontier node and every partial leaf, in pre-order."""
     covered, partial = mcf(tree, lo, hi)
-    under = tree.cover_count(covered) > 0
+    under = cover_count(tree, covered) > 0
     under[partial] = True
     return np.flatnonzero(under & (tree.leaf_id >= 0) & (tree.nodes.count > 0))
 

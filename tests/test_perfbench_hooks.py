@@ -50,7 +50,7 @@ def test_one_answer_traces_one_mcf_and_one_estimate(agg):
     assert names.count("tree.mcf") == 1
     assert names.count("variance.stratum_estimate") <= 1
     lo, hi, _ = q.box(syn.pred_cols)
-    covered, partial = tree.mcf(syn.tree, lo, hi, zero_var_as_covered=agg == "avg")
+    covered, partial = tree.mcf(syn.tree, lo, hi)
     assert partial.size > 0
     assert t.counts[(0, "tree.covered_nodes")] == len(covered)
     assert t.counts[(0, "tree.partial_leaves")] == len(partial)

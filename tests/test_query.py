@@ -57,3 +57,12 @@ def test_truth_full_range(pdf, agg):
     a = pdf["a"].to_numpy()
     exp = {"sum": a.sum(), "count": len(a), "avg": a.mean()}[agg]
     assert q.truth(pdf, "a") == pytest.approx(exp)
+
+
+def test_box_intersects_a_column_named_twice(pdf):
+    """The rectangle keeps the intersection of a column's ranges, as the
+    mask and the SQL text do; other columns are unbounded."""
+    q = Query("count", ("c", "c"), (10, 0), (60, 40))
+    lo, hi, external = q.box(["c", "d"])
+    assert lo.tolist() == [10.0, -np.inf] and hi.tolist() == [40.0, np.inf] and not external
+    assert np.array_equal(q.mask(pdf), Query("count", ("c",), (10,), (40,)).mask(pdf))

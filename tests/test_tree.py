@@ -5,9 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.kdtree import KDTree
-from repro.core.synopsis import _tree_from_kd
+from repro.core.query import Query
+from repro.core.synopsis import PassSynopsis, _tree_from_kd
 from repro.core.tree import Node, NodeStats, build_tree, mcf, overlapping_leaves, synopsis_bytes
-from tests.reference import children, classify_one, leaf_stats, mcf_recursive, sample_only_leaves_mcf
+from tests.reference import (
+    children, classify_one, leaf_stats, mcf_recursive, sample_only_leaves_mcf, synopsis_1d,
+)
 
 
 def leaves_from(groups, extents):
@@ -128,15 +131,28 @@ def test_mcf_matches_bruteforce_random():
 
 
 def test_zero_variance_rule():
-    """§3.4: a partially-overlapped 0-variance node is returned as covered
-    when the rule is enabled."""
-    tree = build_tree(leaves_from([[5.0, 5.0, 5.0], [1.0, 9.0]], [(0, 9), (10, 19)]))
-    n0, n1 = tree.leaf_node
-    lo, hi = np.array([3.0]), np.array([15.0])
-    covered, partial = mcf(tree, lo, hi, zero_var_as_covered=True)
-    assert n0 in covered and n1 in partial
-    covered, partial = mcf(tree, lo, hi, zero_var_as_covered=False)
-    assert n0 in partial and n1 in partial
+    """§3.4 for AVG: a partially overlapped leaf whose values are all equal
+    gives that value as its exact mean with no spread, but it weighs only its
+    estimated matching rows and stays partial for the hard bounds. Leaf 1
+    (c in [100, 200), every value 0) overlaps the query in one row: weighed
+    by its full COUNT as a covered node it would give 5.495, and bounds
+    [5.495, 5.495], for a truth of 10.88."""
+    c = np.arange(200.0)
+    v = np.where(c < 100, 10 + c % 3, 0.0)
+    q = Query("avg", ("c",), (0.0,), (100.0,))
+    truth = v[c <= 100].mean()
+    for per_leaf in (100, 20):
+        res = synopsis_1d(c, v, [100.0], per_leaf).answer(q)
+        assert res.lb <= truth <= res.ub
+        assert res.lb == 0.0 and res.ub == pytest.approx(10.99)
+    full = synopsis_1d(c, v, [100.0], 100).answer(q)  # every row sampled
+    assert full.est == pytest.approx(truth, rel=1e-12) and full.ci_half == 0.0
+    # A zero-variance leaf alone: its value exactly, where the mean of 0.1
+    # over the matching sampled rows and its φ-variance are not.
+    v = np.where(c < 100, 10 + c % 3, 0.1)
+    res = synopsis_1d(c, v, [100.0], 20).answer(Query("avg", ("c",), (120.0,), (300.0,)))
+    assert res.est == 0.1 and res.ci_half == 0.0
+    assert res.lb == res.ub == 0.1
 
 
 def test_zero_variance_property():
@@ -155,7 +171,8 @@ def test_synopsis_bytes_accounting(chain_leaves):
 
 
 def _random_tree(draw_seed, kind, d, n_rows, n_leaves):
-    """A 1-D fanout-2/4 tree or a k-d tree over ``n_rows`` random rows.
+    """A 1-D fanout-2/4 tree or a k-d tree over ``n_rows`` random rows, and
+    the assigner that routes rows of its predicate columns to their leaf.
     Values come from a small set, so some nodes have zero variance, and
     1-D leaves outnumber distinct predicate values, so some are empty."""
     rng = np.random.default_rng(draw_seed)
@@ -163,10 +180,14 @@ def _random_tree(draw_seed, kind, d, n_rows, n_leaves):
     v = rng.choice([0.0, 1.0, 1.0, 4.0], n_rows) * (x[:, 0] > 5) + 2.0
     if kind == "kd":
         kd = KDTree(x, v, n_leaves, seed=draw_seed)
-        return _tree_from_kd(kd.root, leaf_stats(x, v, kd.assign(x), kd.n_leaves))
+        return _tree_from_kd(kd.root, leaf_stats(x, v, kd.assign(x), kd.n_leaves)), kd.assign
     b = np.sort(rng.choice(np.arange(-1.0, 14.0, 0.5), min(n_leaves - 1, 30), replace=False))
-    lids = np.searchsorted(b, x[:, 0], side="right")
-    return build_tree(leaf_stats(x[:, :1], v, lids, len(b) + 1), fanout=2 if kind == "1d2" else 4)
+
+    def assign(z):
+        return np.searchsorted(b, np.asarray(z, dtype=np.float64)[:, 0], side="right")
+
+    tree = build_tree(leaf_stats(x[:, :1], v, assign(x), len(b) + 1), fanout=2 if kind == "1d2" else 4)
+    return tree, assign
 
 
 #: A random tree (see :func:`_random_tree`) and query bounds for 3 columns.
@@ -188,17 +209,17 @@ TREES_AND_BOUNDS = dict(
 
 
 @settings(max_examples=150, deadline=None)
-@given(**TREES_AND_BOUNDS, zero_var=st.booleans())
-def test_mcf_equals_recursive_definition(seed, kind, d, n_rows, n_leaves, bounds, zero_var):
+@given(**TREES_AND_BOUNDS)
+def test_mcf_equals_recursive_definition(seed, kind, d, n_rows, n_leaves, bounds):
     """Same covered nodes and partial leaves, in the same (pre-)order, as the
-    depth-first Algorithm 1 — with empty leaves, zero-variance nodes,
-    unconstrained (±inf) columns and empty ranges (lo > hi)."""
-    tree = _random_tree(seed, kind, d, n_rows, n_leaves)
+    depth-first Algorithm 1 — with empty leaves, unconstrained (±inf)
+    columns and empty ranges (lo > hi)."""
+    tree, _ = _random_tree(seed, kind, d, n_rows, n_leaves)
     dims = tree.nodes.pmin.shape[1]
     lo = np.array([b[0] for b in bounds[:dims]])
     hi = np.array([b[1] for b in bounds[:dims]])
-    covered, partial = mcf(tree, lo, hi, zero_var_as_covered=zero_var)
-    want_cov, want_par = mcf_recursive(tree, lo, hi, zero_var)
+    covered, partial = mcf(tree, lo, hi)
+    want_cov, want_par = mcf_recursive(tree, lo, hi)
     assert covered.tolist() == want_cov
     assert partial.tolist() == want_par
 
@@ -209,8 +230,48 @@ def test_overlapping_leaves_equal_mcf_rule(seed, kind, d, n_rows, n_leaves, boun
     """The leaves a sample-only answer reads: the same, in the same
     (pre-)order, as the MCF frontier expanded to its non-empty leaves — with
     empty leaves, unconstrained (±inf) columns and empty ranges (lo > hi)."""
-    tree = _random_tree(seed, kind, d, n_rows, n_leaves)
+    tree, _ = _random_tree(seed, kind, d, n_rows, n_leaves)
     dims = tree.nodes.pmin.shape[1]
     lo = np.array([b[0] for b in bounds[:dims]])
     hi = np.array([b[1] for b in bounds[:dims]])
     assert overlapping_leaves(tree, lo, hi).tolist() == sample_only_leaves_mcf(tree, lo, hi).tolist()
+
+
+def assert_nodes_enclose_children(tree):
+    """Each node's count and SUM are its children's totals, and its MIN/MAX
+    and predicate extents enclose theirs: the invariant :func:`mcf` rests on.
+    ``tree.parent`` names each child's parent, and the root its own."""
+    n = tree.nodes
+    assert tree.parent[0] == 0
+    for i in range(tree.n_nodes):
+        kids = children(tree, i)
+        assert (tree.parent[kids] == i).all()
+        if not kids:
+            continue
+        assert n.count[i] == n.count[kids].sum()
+        assert n.sum[i] == pytest.approx(n.sum[kids].sum(), rel=1e-12, abs=1e-9)
+        assert n.min[i] <= n.min[kids].min() and n.max[i] >= n.max[kids].max()
+        assert (n.pmin[i] <= n.pmin[kids].min(axis=0)).all()
+        assert (n.pmax[i] >= n.pmax[kids].max(axis=0)).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(**TREES_AND_BOUNDS, n_inserts=st.integers(1, 40))
+def test_nodes_enclose_children(seed, kind, d, n_rows, n_leaves, bounds, n_inserts):
+    """Nodes enclose their children in a built tree (1-D fanout 2/4 and
+    k-d), and still after a stream of inserts whose values and predicate
+    values often lie outside their leaf's ranges; MCF then still equals the
+    recursive definition."""
+    tree, assign = _random_tree(seed, kind, d, n_rows, n_leaves)
+    assert_nodes_enclose_children(tree)
+    cols = [f"c{j}" for j in range(tree.nodes.pmin.shape[1])]
+    syn = PassSynopsis(tree, {}, cols, "a", tree.nodes.count[0], assign=assign)
+    rng = np.random.default_rng(seed)
+    for _ in range(n_inserts):
+        row = dict(zip(cols, rng.uniform(-6.0, 20.0, len(cols))))
+        syn.insert({**row, "a": float(rng.uniform(-10.0, 20.0))}, rng)
+    assert_nodes_enclose_children(syn.tree)
+    lo = np.array([b[0] for b in bounds[: len(cols)]])
+    hi = np.array([b[1] for b in bounds[: len(cols)]])
+    covered, partial = mcf(syn.tree, lo, hi)
+    assert (covered.tolist(), partial.tolist()) == mcf_recursive(syn.tree, lo, hi)

@@ -154,3 +154,14 @@ def test_groupby_with_base_predicate(nyc_df, nyc_pdf):
         # Filtering on a non-indexed column demotes all coverage to
         # sample estimation, so allow generous sampling error.
         assert res[g].est == pytest.approx(truth, rel=0.6)
+
+
+def test_groupby_base_on_group_column():
+    """A base predicate on the group column intersects with the group's
+    equality predicate: the group is answered over that one value, not over
+    the base range."""
+    c = np.repeat(np.arange(10.0), 100)
+    syn = synopsis_1d(c, np.ones(c.size), np.arange(0.5, 9.0), 10)
+    base = Query("count", ("c",), (0.0,), (5.0,))
+    res = syn.answer_groupby("count", "c", [2.0], base=base)[2.0]
+    assert (res.est, res.lb, res.ub) == (100.0, 100.0, 100.0)
