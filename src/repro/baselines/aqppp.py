@@ -24,7 +24,7 @@ from pyspark.sql import DataFrame
 
 from ..core import spark_build
 from ..core.kdtree import KDTree
-from ..core.partitioner import ADP, assign_partitions, cuts_to_boundaries, equal_depth_cuts
+from ..core.partitioner import ADP, Router1D, cuts_to_boundaries, equal_depth_cuts
 from ..core.query import Query
 from ..core.synopsis import AqpResult
 from ..core.tree import NodeStats, classify, synopsis_bytes
@@ -164,7 +164,7 @@ def build_aqppp_1d(
     sample = spark_build.uniform_sample(df, value_col, [pred_col], k_sample, seed=seed)
     return AggPlusUniform(
         leaves,
-        lambda x: assign_partitions(x[:, 0], boundaries),
+        Router1D(boundaries),
         sample[[pred_col]].to_numpy(dtype=np.float64),
         sample[value_col].to_numpy(dtype=np.float64),
         [pred_col],
@@ -203,7 +203,7 @@ def build_kd_us(
     sample = spark_build.uniform_sample(df, value_col, pred_cols, k_sample, seed=seed)
     return AggPlusUniform(
         leaves,
-        kd.assign,
+        kd,
         sample[pred_cols].to_numpy(dtype=np.float64),
         sample[value_col].to_numpy(dtype=np.float64),
         pred_cols,

@@ -29,5 +29,5 @@ def build_stratified(
     )
     return PassSynopsis(
         syn.tree, syn.samples, syn.pred_cols, value_col, syn.n_total, syn.sample_cols,
-        build_seconds=syn.build_seconds, use_aggregates=False, assign=syn.assign,
+        build_seconds=syn.build_seconds, use_aggregates=False, assign=syn.assign, seed=seed,
     )

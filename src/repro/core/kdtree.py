@@ -11,9 +11,11 @@ Two construction policies over an m-row optimisation sample:
 Each expansion splits a node at the per-dimension medians of its sample,
 giving fanout 2^d. Leaf ids are dense ints. Once grown, the decision tree is
 also kept as flat pre-order arrays (a split matrix, a child table and each
-node's leaf id): :meth:`KDTree.assign` descends every row one level at a time
-over them, and ``spark_build.with_leaf_fn`` compiles the same arrays into
-one Spark SQL ``CASE`` expression.
+node's leaf id). A :class:`KDTree` is the router of its partitioning: called
+on an (n, d) batch it descends every row one level at a time over those
+arrays, and :meth:`KDTree.leaf` descends one row over the same arrays kept as
+lists; ``spark_build.with_leaf_fn`` compiles them into one Spark SQL ``CASE``
+expression.
 
 The per-leaf maximum-variance SUM query is approximated with the same
 discretisation as 1-D (Appendix A.3): the better median-split half along
@@ -109,6 +111,9 @@ class KDTree:
                 self.child[i] = [pos[id(c)] for c in n.children]
         self.height = max(n.depth for n in self.leaves)
         self._weights = 1 << np.arange(self.d)
+        self._split_rows = self.split.tolist()
+        self._child_rows = self.child.tolist()
+        self._leaf_ids = self.leaf_of.tolist()
 
     # ------------------------------------------------------------------
 
@@ -172,7 +177,7 @@ class KDTree:
 
     # ------------------------------------------------------------------
 
-    def assign(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray) -> np.ndarray:
         """Leaf id of every row of ``x`` (n, d): all rows descend together,
         one level at a time; child ``Σ_j [x_j > split_j]·2^j`` of a node."""
         x = np.asarray(x, dtype=np.float64)
@@ -180,6 +185,19 @@ class KDTree:
         for _ in range(self.height):
             node = self.child[node, (x > self.split[node]) @ self._weights]
         return self.leaf_of[node]
+
+    def leaf(self, point: list[float]) -> int:
+        """Leaf id of one row, a list of d floats: the same descent in plain
+        Python, stopping at the first leaf (NaN compares false, bit 0)."""
+        node = 0
+        while (lid := self._leaf_ids[node]) < 0:
+            code, bit = 0, 1
+            for p, s in zip(point, self._split_rows[node]):
+                if p > s:
+                    code |= bit
+                bit <<= 1
+            node = self._child_rows[node][code]
+        return lid
 
     @property
     def n_leaves(self) -> int:

@@ -21,6 +21,8 @@ Implemented algorithms, matching the paper's complexity table:
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from .variance import cal_v
@@ -52,6 +54,27 @@ def cuts_to_boundaries(c_sorted: np.ndarray, cuts: list[int]) -> np.ndarray:
 def assign_partitions(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
     """Partition id of each value for interior ``boundaries`` (see above)."""
     return np.searchsorted(boundaries, values, side="right")
+
+
+class Router1D:
+    """The leaf router of a 1-D partitioning with interior ``boundaries``.
+
+    Called on an (n, d) batch it gives the leaf id of every row from its
+    first column (:func:`assign_partitions`); :meth:`leaf` routes one row.
+    """
+
+    def __init__(self, boundaries: np.ndarray) -> None:
+        self.boundaries = np.asarray(boundaries, dtype=np.float64)
+        self._bounds = self.boundaries.tolist()
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return assign_partitions(np.asarray(x, dtype=np.float64)[:, 0], self.boundaries)
+
+    def leaf(self, point: list[float]) -> int:
+        """Leaf id of one row, a list of floats. ``bisect_right`` equals
+        ``searchsorted(side='right')``: NaN compares false with every
+        boundary, so it lands in the last leaf, as it sorts last there."""
+        return bisect_right(self._bounds, point[0])
 
 
 # ---------------------------------------------------------------------------

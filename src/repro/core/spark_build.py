@@ -6,7 +6,7 @@ DataFrame/Catalyst API, and no Python code runs per row:
 * leaf assignment — the partition function compiled into one Spark SQL
   expression: a balanced ``CASE`` over the 1-D boundaries, equal to
   ``np.searchsorted(side='right')``, or for a k-d tree a ``CASE`` per split
-  dimension under each internal node, equal to :meth:`KDTree.assign`;
+  dimension under each internal node, equal to the :class:`KDTree` router;
 * per-leaf aggregates and sample candidates in one job — one
   ``groupBy("leaf_id").agg(...)`` computes SUM/COUNT/MIN/MAX of the
   aggregation column plus the per-dimension min/max of every predicate

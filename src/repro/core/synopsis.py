@@ -34,7 +34,7 @@ from pyspark.sql import DataFrame
 
 from . import spark_build
 from .kdtree import KDNode, KDTree
-from .partitioner import ADP, assign_partitions, cuts_to_boundaries, equal_depth_cuts
+from .partitioner import ADP, Router1D, assign_partitions, cuts_to_boundaries, equal_depth_cuts
 from .query import Query
 from .tree import Node, NodeStats, Tree, build_tree, mcf, overlapping_leaves, synopsis_bytes
 from .variance import LAMBDA_99, hard_bounds, stratum_estimate, sum_range
@@ -67,7 +67,8 @@ class PassSynopsis:
         *,
         build_seconds: float = 0.0,
         use_aggregates: bool = True,
-        assign=None,
+        assign: Router1D | KDTree | None = None,
+        seed: int = 0,
     ) -> None:
         """``use_aggregates=False`` turns the structure into plain
         stratified sampling (the ST baseline): covered nodes are answered
@@ -75,11 +76,15 @@ class PassSynopsis:
         aggregation, 0-variance rule, or hard bounds are used. With no
         ``pred_cols`` and one leaf it is uniform sampling (US,
         VerdictDB-lite): every query constrains a column outside the index,
-        so the one stratum's sample answers it (§5.4.1)."""
+        so the one stratum's sample answers it (§5.4.1). ``seed`` seeds the
+        generator of the inserts that are given none."""
         self.use_aggregates = use_aggregates
-        #: vectorised (n, d) → leaf-id mapper; enables dynamic inserts.
+        #: the partitioning's leaf router, None for a synopsis that takes no
+        #: inserts: ``assign(x)`` gives the leaf id of every row of an (n, d)
+        #: batch, ``assign.leaf(point)`` that of one row, a list of d floats.
         self.assign = assign
         self._seen: dict[int, int] = {}  # reservoir counters per leaf
+        self._rng = np.random.default_rng(seed)
         self.tree = tree
         #: read-only views of the root and of every leaf, by leaf id.
         self.root = Node(tree, 0)
@@ -127,7 +132,7 @@ class PassSynopsis:
         return cls._finish(
             df_leaf, [pred_col], value_col, len(boundaries) + 1, None, sample_total,
             "equal", fanout, sample_cols, seed, t0, n_rows, assign_partitions(c, boundaries),
-            assign=lambda x: assign_partitions(np.asarray(x, float)[:, 0], boundaries),
+            Router1D(boundaries),
         )
 
     @classmethod
@@ -153,8 +158,7 @@ class PassSynopsis:
         df_leaf = spark_build.with_leaf_fn(df, pred_cols, kd)
         return cls._finish(
             df_leaf, pred_cols, value_col, kd.n_leaves, kd, sample_total,
-            alloc, 2, sample_cols, seed, t0, n_rows, kd.assign(x),
-            assign=kd.assign,
+            alloc, 2, sample_cols, seed, t0, n_rows, kd(x), kd,
         )
 
     @classmethod
@@ -184,7 +188,7 @@ class PassSynopsis:
         return cls(
             tree, samples, pred_cols, value_col, float(leaves.count.sum()),
             sample_cols=sample_cols,
-            build_seconds=time.perf_counter() - t0, assign=assign,
+            build_seconds=time.perf_counter() - t0, assign=assign, seed=seed,
         )
 
     # -- query processing ------------------------------------------------
@@ -267,47 +271,60 @@ class PassSynopsis:
 
     # -- dynamic updates (§4.5) -----------------------------------------
 
-    def insert(self, row: dict[str, float], rng: np.random.Generator | None = None) -> int:
+    def insert(
+        self, row: dict[str, float | None], rng: np.random.Generator | None = None
+    ) -> int | None:
         """Insert one tuple, maintaining statistical consistency (§4.5).
 
-        The tuple is routed to its leaf (O(height) via the stored
-        assigner), every node on the stored root→leaf path has its SUM/
-        COUNT/MIN/MAX and predicate extents updated, and the leaf's
-        stratified sample is maintained with Reservoir sampling [41]:
-        the new tuple replaces a uniformly random sampled tuple with
-        probability K_i/N_i. Returns the leaf id.
+        The row is read as floats, a NULL (None) predicate value as NaN, and
+        routed to its leaf by the router's scalar ``leaf``. Every node on the
+        stored root→leaf path has its SUM and COUNT updated. Every ancestor
+        encloses its leaf (DESIGN.md §3.8), so a tuple inside the leaf's value
+        range and predicate box widens no node: MIN/MAX and the extents are
+        written along the path only where the tuple lies outside the leaf's.
+        The leaf's stratified sample is maintained with Reservoir sampling
+        [41]: the new tuple replaces a uniformly random sampled tuple with
+        probability K_i/N_i, drawn from ``rng``, or from the synopsis's own
+        generator, seeded by the build, when ``rng`` is None.
+
+        Returns the leaf id. A tuple whose value is NULL or NaN returns None
+        and leaves the synopsis as it was, as the build leaves such rows out.
         """
         if self.assign is None:
             raise RuntimeError("synopsis was constructed without an assigner")
-        rng = rng or np.random.default_rng()
-        x = np.array([[row[c] for c in self.pred_cols]], dtype=np.float64)
-        value = float(row[self.value_col])
-        lid = int(self.assign(x)[0])
+        value = row[self.value_col]
+        value = math.nan if value is None else float(value)
+        if math.isnan(value):
+            return None
+        x = [math.nan if (p := row[c]) is None else float(p) for c in self.pred_cols]
+        lid = self.assign.leaf(x)
         nodes = self.tree.nodes
         path = self.tree.paths[lid]
         leaf = path[-1]
         nodes.sum[path] += value
         nodes.count[path] += 1.0
-        # Every ancestor's MIN/MAX encloses the leaf's, so a value inside the
-        # leaf's range changes neither on any node (written to let NaN through).
         if not value >= nodes.min[leaf]:
             nodes.min[path] = np.minimum(nodes.min[path], value)
         if not value <= nodes.max[leaf]:
             nodes.max[path] = np.maximum(nodes.max[path], value)
-        nodes.pmin[path] = np.minimum(nodes.pmin[path], x)
-        nodes.pmax[path] = np.maximum(nodes.pmax[path], x)
+        # Written so that NaN, inside no box, widens the path.
+        pmin, pmax = nodes.pmin[leaf].tolist(), nodes.pmax[leaf].tolist()
+        if not all(lo <= p <= hi for lo, p, hi in zip(pmin, x, pmax)):
+            nodes.pmin[path] = np.minimum(nodes.pmin[path], x)
+            nodes.pmax[path] = np.maximum(nodes.pmax[path], x)
         self.n_total += 1
         n_i = self._seen.get(lid)
         if n_i is None:
-            n_i = nodes.count[leaf] - 1  # before this insert
+            n_i = int(nodes.count[leaf]) - 1  # before this insert
         n_i += 1
-        self._seen[lid] = int(n_i)
-        sx, sv = self.samples.get(lid, (np.empty((0, len(self.sample_cols))), np.empty(0)))
-        k_i = len(sv)
+        self._seen[lid] = n_i
+        sample = self.samples.get(lid)
+        k_i = 0 if sample is None else len(sample[1])
+        if rng is None:
+            rng = self._rng
         if k_i and rng.random() < k_i / n_i:
             j = int(rng.integers(0, k_i))
-            sx = sx.copy()
-            sv = sv.copy()
+            sx, sv = sample[0].copy(), sample[1].copy()
             sx[j] = [row[c] for c in self.sample_cols]
             sv[j] = value
             self.samples[lid] = (sx, sv)

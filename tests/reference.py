@@ -1,6 +1,6 @@
 """Brute-force references for the vectorised partitioner, tree, estimator and
-Spark build code, and a Spark-free way to build a :class:`PassSynopsis` from
-numpy arrays."""
+Spark build code, the vectorised insert, and a Spark-free way to build a
+:class:`PassSynopsis` from numpy arrays."""
 from __future__ import annotations
 
 import numpy as np
@@ -8,6 +8,7 @@ import pandas as pd
 from pyspark.sql import Window
 from pyspark.sql import functions as F
 
+from repro.core.partitioner import Router1D
 from repro.core.spark_build import LEAF_COL
 from repro.core.synopsis import PassSynopsis
 from repro.core.tree import NodeStats, Tree, build_tree, mcf
@@ -117,14 +118,10 @@ def synopsis_1d(
 ) -> PassSynopsis:
     """PASS over one predicate column ``c`` with the given interior leaf
     boundaries and up to ``per_leaf`` uniform samples a leaf, without Spark."""
-    b = np.asarray(boundaries, dtype=np.float64)
+    assign = Router1D(boundaries)
     x = np.asarray(c, dtype=np.float64)[:, None]
-
-    def assign(z):
-        return np.searchsorted(b, np.asarray(z, dtype=np.float64)[:, 0], side="right")
-
     lids = assign(x)
-    n_leaves = len(b) + 1
+    n_leaves = len(boundaries) + 1
     rng = np.random.default_rng(seed)
     samples = {}
     for lid in range(n_leaves):
@@ -133,7 +130,43 @@ def synopsis_1d(
             pick = rng.choice(rows, min(per_leaf, rows.size), replace=False)
             samples[lid] = (x[pick], v[pick])
     tree = build_tree(leaf_stats(x, v, lids, n_leaves), fanout=fanout)
-    return PassSynopsis(tree, samples, ["c"], "a", len(v), assign=assign)
+    return PassSynopsis(tree, samples, ["c"], "a", len(v), assign=assign, seed=seed)
+
+
+def insert_vectorised(syn: PassSynopsis, row: dict, rng: np.random.Generator) -> int:
+    """:meth:`PassSynopsis.insert` with numpy on one row: the batch router,
+    and MIN/MAX and extents written along the whole path. A NULL value is
+    not handled."""
+    x = np.array([[row[c] for c in syn.pred_cols]], dtype=np.float64)
+    value = float(row[syn.value_col])
+    lid = int(syn.assign(x)[0])
+    nodes = syn.tree.nodes
+    path = syn.tree.paths[lid]
+    leaf = path[-1]
+    nodes.sum[path] += value
+    nodes.count[path] += 1.0
+    if not value >= nodes.min[leaf]:
+        nodes.min[path] = np.minimum(nodes.min[path], value)
+    if not value <= nodes.max[leaf]:
+        nodes.max[path] = np.maximum(nodes.max[path], value)
+    nodes.pmin[path] = np.minimum(nodes.pmin[path], x)
+    nodes.pmax[path] = np.maximum(nodes.pmax[path], x)
+    syn.n_total += 1
+    n_i = syn._seen.get(lid)
+    if n_i is None:
+        n_i = nodes.count[leaf] - 1  # before this insert
+    n_i += 1
+    syn._seen[lid] = int(n_i)
+    sx, sv = syn.samples.get(lid, (np.empty((0, len(syn.sample_cols))), np.empty(0)))
+    k_i = len(sv)
+    if k_i and rng.random() < k_i / n_i:
+        j = int(rng.integers(0, k_i))
+        sx = sx.copy()
+        sv = sv.copy()
+        sx[j] = [row[c] for c in syn.sample_cols]
+        sv[j] = value
+        syn.samples[lid] = (sx, sv)
+    return lid
 
 
 # -- partitioning DP: scalar references ---------------------------------
@@ -177,19 +210,6 @@ def max_var_query_sum_exact(ps: PrefixStats, lo: int, hi: int) -> float:
     for g in range(lo, hi + 1):
         for w in range(g, hi + 1):
             best = max(best, cal_v(n, ps.seg_ssq(g, w), ps.seg_sum(g, w)))
-    return best
-
-
-def max_var_query_avg_exact(ps: PrefixStats, lo: int, hi: int, min_len: int = 1) -> float:
-    """Exact maximum AVG-query variance (1/|q|²)·𝒱 over subintervals of
-    [lo, hi] with at least ``min_len`` items — O((hi−lo)²)."""
-    n = hi - lo + 1
-    best = 0.0
-    for g in range(lo, hi + 1):
-        for w in range(g + min_len - 1, hi + 1):
-            q = w - g + 1
-            v = cal_v(n, ps.seg_ssq(g, w), ps.seg_sum(g, w)) / (q * q)
-            best = max(best, v)
     return best
 
 

@@ -19,7 +19,7 @@ def xy():
 def test_leaf_ids_dense_and_assignment_total(xy, policy):
     x, a = xy
     kd = KDTree(x, a, 32, policy=policy)
-    ids = kd.assign(x)
+    ids = kd(x)
     assert ids.min() >= 0 and ids.max() < kd.n_leaves
     assert sorted({l.leaf_id for l in kd.leaves}) == list(range(kd.n_leaves))
 
@@ -37,7 +37,7 @@ def test_sample_partition_is_exact(xy):
     during construction."""
     x, a = xy
     kd = KDTree(x, a, 16, policy="pass")
-    ids = kd.assign(x)
+    ids = kd(x)
     for leaf in kd.leaves:
         assert np.all(ids[leaf.idx] == leaf.leaf_id)
 
@@ -66,7 +66,7 @@ def test_pass_expands_high_variance_region():
     a[corner] = rng.normal(100, 30, corner.sum())
     kd = KDTree(x, a, 16, policy="pass", balance_limit=10)
     depth_at = {}
-    ids = kd.assign(x)
+    ids = kd(x)
     for leaf in kd.leaves:
         depth_at[leaf.leaf_id] = leaf.depth
     corner_depths = [depth_at[i] for i in np.unique(ids[corner])]
@@ -79,7 +79,7 @@ def test_assign_handles_unseen_points(xy):
     x, a = xy
     kd = KDTree(x, a, 16)
     far = np.array([[1e9, 1e9], [-1e9, -1e9]])
-    ids = kd.assign(far)
+    ids = kd(far)
     assert ids.min() >= 0 and ids.max() < kd.n_leaves
 
 
@@ -88,7 +88,7 @@ def test_degenerate_identical_points():
     a = np.ones(50)
     kd = KDTree(x, a, 8)
     assert kd.n_leaves == 1  # unsplittable
-    assert np.all(kd.assign(x) == 0)
+    assert np.all(kd(x) == 0)
 
 
 def test_leaf_max_variance_sum_positive():
@@ -116,5 +116,5 @@ def test_dimensions(d):
     a = rng.random(1500)
     kd = KDTree(x, a, 40, policy="pass")
     assert kd.n_leaves >= 1 + (1 << d) - 1 or d > 5
-    ids = kd.assign(x)
+    ids = kd(x)
     assert len(np.unique(ids)) <= kd.n_leaves

@@ -56,6 +56,29 @@ def test_one_answer_traces_one_mcf_and_one_estimate(agg):
     assert t.counts[(0, "tree.partial_leaves")] == len(partial)
 
 
+def test_traced_insert_stream_reports_inserts_and_replacements(spark):
+    """A traced insert stream reports its insert time, and a stream that
+    forces reservoir replacements (each leaf's sample is the whole leaf)
+    shows them as the benchmark counts them: the leaf's sample is a new
+    object. Inserts route one row without ``assign_partitions``, so that
+    layer reads 0."""
+    rng = np.random.default_rng(4)
+    c = rng.uniform(0, 100, 200)
+    syn = synopsis_1d(c, rng.lognormal(0, 1, c.size), np.arange(10.0, 100.0, 10.0), 50)
+    t = tracer.Tracer(spark.sparkContext, types.SimpleNamespace(count=lambda: 0))
+    replaced = []
+    with t.installed():
+        for ci in rng.uniform(0, 100, 100):
+            t.new_op("insert")
+            before = dict(syn.samples)
+            lid = syn.insert({"c": float(ci), "a": 1.0}, rng)
+            replaced.append(syn.samples.get(lid) is not before.get(lid))
+    out = t.layer_metrics()
+    assert out["synopsis.insert_us"] > 0
+    assert np.mean(replaced) > 0
+    assert out["partitioner.assign_partitions_us"] == 0
+
+
 @pytest.fixture(scope="module")
 def small_nyc_df(spark, nyc_pdf):
     df = spark.createDataFrame(nyc_pdf.head(3000)).cache()

@@ -163,7 +163,7 @@ def test_with_leaf_fn_multidim(nyc_df, nyc_pdf):
     kd = KDTree(x, a, 16, policy="us")
     dfl = spark_build.with_leaf_fn(nyc_df, cols, kd)
     got = dfl.select(*cols, LEAF_COL).toPandas()
-    exp = kd.assign(got[cols].to_numpy(float))
+    exp = kd(got[cols].to_numpy(float))
     assert np.array_equal(got[LEAF_COL].to_numpy(), exp)
 
 
@@ -218,7 +218,7 @@ def test_with_leaf_1d_single_leaf(spark):
 
 def test_with_leaf_fn_edges_match_kd_assign(spark):
     """Every split value of every internal node, its neighbours, ±inf, NaN
-    and NULL in each dimension get the id ``KDTree.assign`` gives them, on
+    and NULL in each dimension get the id the ``KDTree`` router gives them, on
     a duplicate-heavy first dimension."""
     g = np.random.default_rng(5)
     x = np.column_stack([g.integers(0, 6, 600), g.normal(0, 1, 600)]).astype(np.float64)
@@ -231,7 +231,7 @@ def test_with_leaf_fn_edges_match_kd_assign(spark):
     rows += [(a, 0.0) for a in odd] + [(3.0, b) for b in odd] + [(None, float("nan"))]
     df = double_frame(spark, ["p", "q"], rows)
     got = spark_build.with_leaf_fn(df, ["p", "q"], kd).toPandas()
-    exp = kd.assign(got[["p", "q"]].to_numpy(np.float64))
+    exp = kd(got[["p", "q"]].to_numpy(np.float64))
     assert np.array_equal(got[LEAF_COL].to_numpy(), exp)
 
 
@@ -263,11 +263,11 @@ def nyc_leaves(nyc_df, nyc_pdf):
     """A 3-D KD-PASS tree over NYC, with the same roles as ``intel_leaves``."""
     cols = synth_data.NYC_PREDICATES[:3]
     kd = KDTree(nyc_pdf[cols].to_numpy(np.float64), nyc_pdf["trip_distance"].to_numpy(np.float64), 32)
-    n = np.bincount(kd.assign(nyc_pdf[cols].to_numpy(np.float64)), minlength=kd.n_leaves)
+    n = np.bincount(kd(nyc_pdf[cols].to_numpy(np.float64)), minlength=kd.n_leaves)
     k = {i: 15 + i for i in range(kd.n_leaves) if n[i] > 0}
     k[int(np.argmax(n > 0))] = int(n[n > 0][0])
     new = spark_build.with_leaf_fn(nyc_df, cols, kd)
-    return new, udf_leaf_fn(nyc_df, cols, kd.assign), n, k
+    return new, udf_leaf_fn(nyc_df, cols, kd), n, k
 
 
 @pytest.mark.parametrize("data,value,cols", [

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.kdtree import KDTree
+from repro.core.partitioner import Router1D
 from repro.core.query import Query
 from repro.core.synopsis import PassSynopsis, _tree_from_kd
 from repro.core.tree import Node, NodeStats, build_tree, mcf, overlapping_leaves, synopsis_bytes
@@ -180,12 +181,9 @@ def _random_tree(draw_seed, kind, d, n_rows, n_leaves):
     v = rng.choice([0.0, 1.0, 1.0, 4.0], n_rows) * (x[:, 0] > 5) + 2.0
     if kind == "kd":
         kd = KDTree(x, v, n_leaves, seed=draw_seed)
-        return _tree_from_kd(kd.root, leaf_stats(x, v, kd.assign(x), kd.n_leaves)), kd.assign
+        return _tree_from_kd(kd.root, leaf_stats(x, v, kd(x), kd.n_leaves)), kd
     b = np.sort(rng.choice(np.arange(-1.0, 14.0, 0.5), min(n_leaves - 1, 30), replace=False))
-
-    def assign(z):
-        return np.searchsorted(b, np.asarray(z, dtype=np.float64)[:, 0], side="right")
-
+    assign = Router1D(b)
     tree = build_tree(leaf_stats(x[:, :1], v, assign(x), len(b) + 1), fanout=2 if kind == "1d2" else 4)
     return tree, assign
 

@@ -1,15 +1,21 @@
 """§4.5 dynamic updates (reservoir inserts) and the group-by extension."""
+import copy
+import math
 from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.kdtree import KDTree
+from repro.core.partitioner import Router1D
 from repro.core.query import Query
-from repro.core.synopsis import PassSynopsis
+from repro.core.synopsis import PassSynopsis, _tree_from_kd
 from repro.core.tree import build_tree
 from repro.core.variance import LAMBDA_99
 from repro.synth_data import NYC_PREDICATES
-from tests.reference import leaf_stats, synopsis_1d
+from tests.reference import insert_vectorised, leaf_stats, synopsis_1d
 
 
 @pytest.fixture()
@@ -96,6 +102,183 @@ def test_insert_reservoir_sizes_stable(syn):
     for _ in range(100):
         syn.insert({"time": 0.0, "light": 1.0}, rng=rng)
     assert len(syn.samples[lid][1]) == k_before
+
+
+def test_insert_without_value_leaves_synopsis_untouched():
+    """A row whose value is NaN or NULL is left out, as the build leaves it
+    out: no node, counter, sample or row count changes, and the exact
+    full-range SUM stays finite with its hard bounds."""
+    rng = np.random.default_rng(8)
+    c = rng.uniform(0, 100, 1000)
+    syn = synopsis_1d(c, rng.lognormal(0, 1, c.size), np.arange(10.0, 100.0, 10.0), 20)
+    syn.insert({"c": 10.0, "a": 1.0}, rng)
+    before = copy.deepcopy(syn)
+    q = Query("sum", ("c",), (-1e18,), (1e18,))
+    want = syn.answer(q)
+    for value in (math.nan, np.nan, None):
+        assert syn.insert({"c": 10.0, "a": value}, np.random.default_rng(0)) is None
+    assert_same_synopsis(syn, before)
+    assert syn.answer(q) == want
+    assert math.isfinite(want.est) and want.ci_half == 0 and want.lb == want.est == want.ub
+
+
+def test_insert_without_rng_is_seeded_by_the_build():
+    """Two synopses built with the same seed, fed the same stream without an
+    ``rng``, end up equal; every leaf's sample is the whole leaf, so most
+    inserts replace a sampled row."""
+    rng = np.random.default_rng(9)
+    c, v = rng.uniform(0, 100, 300), rng.lognormal(0, 1, 300)
+    a, b = (synopsis_1d(c, v, np.arange(10.0, 100.0, 10.0), 50, seed=3) for _ in range(2))
+    rows = [
+        {"c": float(ci), "a": float(vi)}
+        for ci, vi in zip(rng.uniform(0, 100, 200), rng.lognormal(0, 1, 200))
+    ]
+    first = dict(a.samples)
+    for row in rows:
+        a.insert(row)
+        b.insert(row)
+    assert_same_synopsis(a, b)
+    assert any(a.samples[lid] is not first[lid] for lid in first)
+
+
+def test_in_box_insert_writes_no_extremes():
+    """An insert inside its leaf's value range and predicate box writes no
+    MIN/MAX and no extents on the path; one outside the box writes them."""
+    rng = np.random.default_rng(10)
+    c = rng.uniform(0, 100, 500)
+    syn = synopsis_1d(c, rng.uniform(1, 5, c.size), np.arange(10.0, 100.0, 10.0), 20)
+    nodes = syn.tree.nodes
+    leaf = syn.leaves[5]
+    inside = {
+        "c": float(leaf.pred_min[0] + leaf.pred_max[0]) / 2,
+        "a": (leaf.stats.min + leaf.stats.max) / 2,
+    }
+    for a in (nodes.min, nodes.max, nodes.pmin, nodes.pmax):
+        a.flags.writeable = False
+    assert syn.insert(inside, rng) == 5
+    with pytest.raises(ValueError):
+        syn.insert({**inside, "c": 150.0}, rng)
+
+
+def assert_same_synopsis(a: PassSynopsis, b: PassSynopsis) -> None:
+    """Every node array, sampled row, reservoir counter and the row count
+    are equal, NaN to NaN."""
+    for f in ("sum", "count", "min", "max", "pmin", "pmax"):
+        assert np.array_equal(getattr(a.tree.nodes, f), getattr(b.tree.nodes, f), equal_nan=True), f
+    assert a.samples.keys() == b.samples.keys()
+    for lid, (x, v) in a.samples.items():
+        assert np.array_equal(x, b.samples[lid][0], equal_nan=True)
+        assert np.array_equal(v, b.samples[lid][1])
+    assert a._seen == b._seen and a.n_total == b.n_total
+
+
+def edges(values) -> list:
+    """Each of ``values`` and its ``nextafter`` neighbours, ±inf, NaN and
+    None (a NULL)."""
+    v = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore"):  # the largest float's next is inf
+        near = np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)])
+    return [*near.tolist(), -np.inf, np.inf, math.nan, None]
+
+
+def floats(point) -> list[float]:
+    """A row's predicate values as ``insert`` reads them: NULL is NaN."""
+    return [math.nan if p is None else float(p) for p in point]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bounds=st.lists(
+        st.sampled_from([-2.0, 0.0, 1.5, 3.0, 1e300]) | st.floats(allow_nan=False), max_size=10
+    )
+)
+def test_router_1d_leaf_equals_batch(bounds):
+    """``Router1D.leaf`` routes one row where the batch call routes it: on
+    and next to every boundary, with duplicate and infinite boundaries, at
+    ±inf, NaN and NULL."""
+    router = Router1D(np.sort(bounds))
+    for p in edges(bounds) + [0.0, -0.0]:
+        assert router.leaf(floats([p])) == router(np.array([[p]]))[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), n_rows=st.integers(1, 150),
+       k_leaves=st.integers(1, 40))
+def test_router_kd_leaf_equals_batch(seed, d, n_rows, k_leaves):
+    """``KDTree.leaf`` routes one row where the batch descent routes it:
+    each split value of each dimension and its neighbours, ±inf, NaN and
+    NULL, with the other coordinates drawn from the same values."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 6, size=(n_rows, d)).astype(float)
+    kd = KDTree(x, rng.lognormal(0, 1, n_rows), k_leaves, seed=seed)
+    cand = [edges(kd.split[kd.leaf_of < 0, j]) for j in range(d)]
+    for j in range(d):
+        for p in cand[j]:
+            point = [p if i == j else cand[i][rng.integers(len(cand[i]))] for i in range(d)]
+            assert kd.leaf(floats(point)) == kd(np.array([point]))[0]
+
+
+def random_synopsis(seed: int, kind: str, d: int, n_rows: int, n_leaves: int) -> PassSynopsis:
+    """A 1-D fanout-2/4 or a k-d synopsis over ``n_rows`` rows on an integer
+    grid, with up to 4 sampled rows a leaf (some leaves whole, some empty)."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 12, size=(n_rows, d)).astype(float)
+    v = rng.choice([0.0, 1.0, 4.0], n_rows) + 2.0
+    if kind == "kd":
+        router = KDTree(x, v, n_leaves, seed=seed)
+        n_leaves = router.n_leaves
+    else:
+        x = x[:, :1]
+        b = rng.choice(np.arange(-1.0, 14.0, 0.5), n_leaves - 1, replace=False)
+        router = Router1D(np.sort(b))
+    lids = router(x)
+    stats = leaf_stats(x, v, lids, n_leaves)
+    if kind == "kd":
+        tree = _tree_from_kd(router.root, stats)
+    else:
+        tree = build_tree(stats, fanout=2 if kind == "1d2" else 4)
+    samples = {}
+    for lid in np.unique(lids).tolist():
+        rows = np.flatnonzero(lids == lid)[:4]
+        samples[lid] = (x[rows], v[rows])
+    cols = [f"c{j}" for j in range(x.shape[1])]
+    return PassSynopsis(tree, samples, cols, "a", n_rows, assign=router)
+
+
+#: A predicate value of an inserted row: on the grid (often inside its leaf's
+#: box), beyond it, NaN or NULL.
+PRED = st.one_of(
+    st.integers(0, 11).map(float), st.floats(-30, 40), st.just(math.nan), st.none()
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["1d2", "1d4", "kd"]),
+    d=st.integers(1, 3),
+    n_rows=st.integers(1, 100),
+    n_leaves=st.integers(2, 24),
+    stream=st.lists(
+        st.tuples(
+            st.lists(PRED, min_size=3, max_size=3),
+            st.sampled_from([2.0, 3.0, 6.0]) | st.floats(-50, 50),
+        ),
+        min_size=1, max_size=40,
+    ),
+)
+def test_insert_equals_vectorised_insert(seed, kind, d, n_rows, n_leaves, stream):
+    """A stream of inserts leaves the same node arrays, samples, reservoir
+    counters and row count as the vectorised insert of
+    :func:`tests.reference.insert_vectorised`: rows inside and outside their
+    leaf's value range and box, with NaN and NULL predicate values."""
+    a = random_synopsis(seed, kind, d, n_rows, n_leaves)
+    b = copy.deepcopy(a)
+    ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
+    for point, value in stream:
+        row = {**dict(zip(a.pred_cols, point)), "a": value}
+        assert insert_vectorised(a, row, ra) == b.insert(row, rb)
+    assert_same_synopsis(a, b)
 
 
 def test_insert_without_assigner_raises(syn):

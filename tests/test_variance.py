@@ -8,7 +8,6 @@ from repro.core.tree import NodeStats
 from repro.core.variance import cal_v, hard_bounds, stratum_estimate
 from tests.reference import (
     PrefixStats,
-    max_var_query_avg_exact,
     max_var_query_sum,
     max_var_query_sum_exact,
     stratum_estimate_one,
@@ -262,11 +261,3 @@ def test_monotonicity_of_max_variance():
     inner = max_var_query_sum_exact(ps, 10, 25)
     outer = max_var_query_sum_exact(ps, 5, 35)
     assert inner <= outer + 1e-9
-
-
-def test_avg_exact_max_variance_respects_min_len():
-    a = np.array([0, 0, 100.0, 0, 0])
-    ps = PrefixStats(a)
-    v1 = max_var_query_avg_exact(ps, 0, 4, min_len=1)
-    v2 = max_var_query_avg_exact(ps, 0, 4, min_len=3)
-    assert v1 >= v2
