@@ -203,7 +203,7 @@ def build_kd_us(
     sample = spark_build.uniform_sample(df, value_col, pred_cols, k_sample, seed=seed)
     return AggPlusUniform(
         leaves,
-        kd,
+        kd.router(),
         sample[pred_cols].to_numpy(dtype=np.float64),
         sample[value_col].to_numpy(dtype=np.float64),
         pred_cols,

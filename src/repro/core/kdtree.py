@@ -11,11 +11,12 @@ Two construction policies over an m-row optimisation sample:
 Each expansion splits a node at the per-dimension medians of its sample,
 giving fanout 2^d. Leaf ids are dense ints. Once grown, the decision tree is
 also kept as flat pre-order arrays (a split matrix, a child table and each
-node's leaf id). A :class:`KDTree` is the router of its partitioning: called
-on an (n, d) batch it descends every row one level at a time over those
-arrays, and :meth:`KDTree.leaf` descends one row over the same arrays kept as
+node's leaf id): a :class:`KDRouter`, which a :class:`KDTree` is. Called on an
+(n, d) batch it descends every row one level at a time over those arrays,
+and :meth:`KDRouter.leaf` descends one row over the same arrays kept as
 lists; ``spark_build.with_leaf_fn`` compiles them into one Spark SQL ``CASE``
-expression.
+expression. :meth:`KDTree.router` gives the arrays alone, without the
+optimisation sample and the grown nodes: what a synopsis keeps.
 
 The per-leaf maximum-variance SUM query is approximated with the same
 discretisation as 1-D (Appendix A.3): the better median-split half along
@@ -67,7 +68,48 @@ def _leaf_max_variance(a: np.ndarray, x: np.ndarray) -> float:
     return best
 
 
-class KDTree:
+class KDRouter:
+    """The decision tree of a k-d partitioning as flat pre-order arrays: the
+    split matrix ``split`` (n_nodes, d), the child table ``child`` (n_nodes,
+    2^d) and each node's leaf id ``leaf_of`` (−1 for an internal node), with
+    ``height`` levels below the root. A leaf splits at +inf and is its own
+    every child, so a row that reaches it stays. It holds nothing else: it is
+    what a synopsis keeps to route its inserts."""
+
+    def __init__(self, split: np.ndarray, child: np.ndarray, leaf_of: np.ndarray, height: int) -> None:
+        self.split = split
+        self.child = child
+        self.leaf_of = leaf_of
+        self.height = height
+        self._weights = 1 << np.arange(split.shape[1])
+        self._split_rows = split.tolist()
+        self._child_rows = child.tolist()
+        self._leaf_ids = leaf_of.tolist()
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Leaf id of every row of ``x`` (n, d): all rows descend together,
+        one level at a time; child ``Σ_j [x_j > split_j]·2^j`` of a node."""
+        x = np.asarray(x, dtype=np.float64)
+        node = np.zeros(len(x), dtype=np.int64)
+        for _ in range(self.height):
+            node = self.child[node, (x > self.split[node]) @ self._weights]
+        return self.leaf_of[node]
+
+    def leaf(self, point: list[float]) -> int:
+        """Leaf id of one row, a list of d floats: the same descent in plain
+        Python, stopping at the first leaf (NaN compares false, bit 0)."""
+        node = 0
+        while (lid := self._leaf_ids[node]) < 0:
+            code, bit = 0, 1
+            for p, s in zip(point, self._split_rows[node]):
+                if p > s:
+                    code |= bit
+                bit <<= 1
+            node = self._child_rows[node][code]
+        return lid
+
+
+class KDTree(KDRouter):
     """Balanced-expansion k-d tree over an optimisation sample.
 
     Args:
@@ -99,21 +141,21 @@ class KDTree:
         self.leaves = [n for n in nodes if n.is_leaf]
         for i, leaf in enumerate(self.leaves):
             leaf.leaf_id = i
-        # The decision tree as arrays over the pre-order nodes. A leaf splits
-        # at +inf and is its own every child, so a row that reaches it stays.
+        # The decision tree as arrays over the pre-order nodes.
         pos = {id(n): i for i, n in enumerate(nodes)}
-        self.split = np.full((len(nodes), self.d), np.inf)
-        self.child = np.repeat(np.arange(len(nodes))[:, None], 1 << self.d, axis=1)
-        self.leaf_of = np.array([n.leaf_id for n in nodes], dtype=np.int64)
+        split = np.full((len(nodes), self.d), np.inf)
+        child = np.repeat(np.arange(len(nodes))[:, None], 1 << self.d, axis=1)
         for i, n in enumerate(nodes):
             if not n.is_leaf:
-                self.split[i] = n.split
-                self.child[i] = [pos[id(c)] for c in n.children]
-        self.height = max(n.depth for n in self.leaves)
-        self._weights = 1 << np.arange(self.d)
-        self._split_rows = self.split.tolist()
-        self._child_rows = self.child.tolist()
-        self._leaf_ids = self.leaf_of.tolist()
+                split[i] = n.split
+                child[i] = [pos[id(c)] for c in n.children]
+        leaf_of = np.array([n.leaf_id for n in nodes], dtype=np.int64)
+        super().__init__(split, child, leaf_of, max(n.depth for n in self.leaves))
+
+    def router(self) -> KDRouter:
+        """The decision tree alone, without the optimisation sample and the
+        grown nodes."""
+        return KDRouter(self.split, self.child, self.leaf_of, self.height)
 
     # ------------------------------------------------------------------
 
@@ -176,28 +218,6 @@ class KDTree:
             deferred.clear()
 
     # ------------------------------------------------------------------
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Leaf id of every row of ``x`` (n, d): all rows descend together,
-        one level at a time; child ``Σ_j [x_j > split_j]·2^j`` of a node."""
-        x = np.asarray(x, dtype=np.float64)
-        node = np.zeros(len(x), dtype=np.int64)
-        for _ in range(self.height):
-            node = self.child[node, (x > self.split[node]) @ self._weights]
-        return self.leaf_of[node]
-
-    def leaf(self, point: list[float]) -> int:
-        """Leaf id of one row, a list of d floats: the same descent in plain
-        Python, stopping at the first leaf (NaN compares false, bit 0)."""
-        node = 0
-        while (lid := self._leaf_ids[node]) < 0:
-            code, bit = 0, 1
-            for p, s in zip(point, self._split_rows[node]):
-                if p > s:
-                    code |= bit
-                bit <<= 1
-            node = self._child_rows[node][code]
-        return lid
 
     @property
     def n_leaves(self) -> int:

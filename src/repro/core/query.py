@@ -70,7 +70,8 @@ class Query:
             if c not in cols:
                 raise KeyError(f"query column {c!r} not in sample columns {cols}")
             v = x[:, cols.index(c)]
-            hit = (v >= lo) & (v <= hi)
+            # ufunc calls: an operator with a scalar operand costs about twice as much.
+            hit = np.greater_equal(v, lo) & np.less_equal(v, hi)
             m = hit if m is None else m & hit
         return np.ones(len(x), dtype=bool) if m is None else m
 

@@ -6,7 +6,7 @@ DataFrame/Catalyst API, and no Python code runs per row:
 * leaf assignment — the partition function compiled into one Spark SQL
   expression: a balanced ``CASE`` over the 1-D boundaries, equal to
   ``np.searchsorted(side='right')``, or for a k-d tree a ``CASE`` per split
-  dimension under each internal node, equal to the :class:`KDTree` router;
+  dimension under each internal node, equal to the :class:`KDRouter`;
 * per-leaf aggregates and sample candidates in one job — one
   ``groupBy("leaf_id").agg(...)`` computes SUM/COUNT/MIN/MAX of the
   aggregation column plus the per-dimension min/max of every predicate
@@ -37,7 +37,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from .kdtree import KDTree
+from .kdtree import KDRouter
 from .tree import NodeStats
 
 LEAF_COL = "__leaf_id"
@@ -81,7 +81,7 @@ def with_leaf_1d(df: DataFrame, pred_col: str, boundaries: np.ndarray) -> DataFr
     return df.withColumn(LEAF_COL, F.expr(ids(0, len(b))).cast("long"))
 
 
-def with_leaf_fn(df: DataFrame, pred_cols: list[str], kd: KDTree) -> DataFrame:
+def with_leaf_fn(df: DataFrame, pred_cols: list[str], kd: KDRouter) -> DataFrame:
     """Attach the leaf id of the k-d tree ``kd``: its flat decision tree as
     nested ``CASE`` expressions, one per split dimension of each internal
     node. A NULL or NaN coordinate is not above the split, as in numpy."""

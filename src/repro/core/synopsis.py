@@ -33,7 +33,7 @@ import numpy as np
 from pyspark.sql import DataFrame
 
 from . import spark_build
-from .kdtree import KDNode, KDTree
+from .kdtree import KDNode, KDRouter, KDTree
 from .partitioner import ADP, Router1D, assign_partitions, cuts_to_boundaries, equal_depth_cuts
 from .query import Query
 from .tree import Node, NodeStats, Tree, build_tree, mcf, overlapping_leaves, synopsis_bytes
@@ -67,7 +67,7 @@ class PassSynopsis:
         *,
         build_seconds: float = 0.0,
         use_aggregates: bool = True,
-        assign: Router1D | KDTree | None = None,
+        assign: Router1D | KDRouter | None = None,
         seed: int = 0,
     ) -> None:
         """``use_aggregates=False`` turns the structure into plain
@@ -83,7 +83,6 @@ class PassSynopsis:
         #: inserts: ``assign(x)`` gives the leaf id of every row of an (n, d)
         #: batch, ``assign.leaf(point)`` that of one row, a list of d floats.
         self.assign = assign
-        self._seen: dict[int, int] = {}  # reservoir counters per leaf
         self._rng = np.random.default_rng(seed)
         self.tree = tree
         #: read-only views of the root and of every leaf, by leaf id.
@@ -158,7 +157,7 @@ class PassSynopsis:
         df_leaf = spark_build.with_leaf_fn(df, pred_cols, kd)
         return cls._finish(
             df_leaf, pred_cols, value_col, kd.n_leaves, kd, sample_total,
-            alloc, 2, sample_cols, seed, t0, n_rows, kd(x), kd,
+            alloc, 2, sample_cols, seed, t0, n_rows, kd(x), kd.router(),
         )
 
     @classmethod
@@ -194,6 +193,10 @@ class PassSynopsis:
     # -- query processing ------------------------------------------------
 
     def answer(self, q: Query) -> AqpResult:
+        """Answer ``q``: numpy over the tree's nodes and the sampled rows
+        (MCF, sample masks, per-stratum sums), Python floats over the few
+        per-node scalars that end the query (bounds, the AVG combine, the skip
+        rate), where numpy's fixed cost per call is larger than the work."""
         lo, hi, external = q.box(self.pred_cols)
         nodes = self.tree.nodes
         exact = self.use_aggregates and not external
@@ -206,15 +209,17 @@ class PassSynopsis:
             # is answered from its samples.
             partial = overlapping_leaves(self.tree, lo, hi)
             covered = partial[:0]
-            lb = ub = float("nan")
+            lb = ub = math.nan
         n_strata = nodes.count[partial]
-        skipped = 1.0 - float(n_strata.sum()) / self.n_total if self.n_total else 0.0
+        n_list = n_strata.tolist()
+        skipped = 1.0 - sum(n_list) / self.n_total if self.n_total else 0.0
         # The sampled rows of every partial leaf, leaf after leaf.
         drawn = [self.samples.get(lid) for lid in self.tree.leaf_id[partial].tolist()]
-        if not drawn or None in drawn:
+        unsampled = None in drawn
+        if unsampled or not drawn:
             no_sample = (np.empty((0, len(self.sample_cols))), np.empty(0))
             drawn = [no_sample if d is None else d for d in drawn]
-        sizes = np.array([len(v) for _, v in drawn], dtype=np.int64)
+        sizes = [len(v) for _, v in drawn]
         if len(drawn) == 1:  # one stratum: its arrays as they are, not a copy
             x, v = drawn[0]
         else:
@@ -224,50 +229,59 @@ class PassSynopsis:
 
         if q.agg in ("sum", "count"):
             e, vr, _ = stratum_estimate(q.agg, v, m, sizes, n_strata)
-            est = getattr(nodes, q.agg)[covered].sum() + e.sum()
-            var = vr.sum()
-            if not sizes.all():
+            # np.add.reduce, not Python's sum: the same order as numpy's sums.
+            est = np.add.reduce(getattr(nodes, q.agg)[covered]) + np.add.reduce(e)
+            var = np.add.reduce(vr)
+            if unsampled:
                 # A stratum with no sample falls back to the midpoint of its
                 # hard-bound range, with the range half-width as the deviation.
-                idle = partial[sizes == 0]
+                idle = partial[np.array(sizes) == 0]
                 if q.agg == "sum":
-                    r_lo, r_hi = sum_range(nodes, idle)
+                    r_lo, r_hi = map(np.array, sum_range(nodes, idle))
                 else:
                     r_lo, r_hi = np.zeros(idle.size), nodes.count[idle]
                 half = (r_hi - r_lo) / 2.0
-                est += (r_lo + half).sum()
-                var += (half * half).sum()
+                est += np.add.reduce(r_lo + half)
+                var += np.add.reduce(half * half)
             return AqpResult(float(est), LAMBDA_99 * math.sqrt(var), lb, ub, processed, skipped)
 
         if q.agg == "avg":
             e, vr, k_pred = stratum_estimate("avg", v, m, sizes, n_strata)
-            if exact:
-                # §3.4: a partial leaf whose values are all equal has that exact mean.
-                zero = nodes.zero_variance[partial]
-                e[zero] = nodes.min[partial[zero]]
-                vr[zero] = 0.0
-            use = k_pred > 0
-            means = np.concatenate([nodes.sum[covered] / nodes.count[covered], e[use]])
-            variances = np.concatenate([np.zeros(covered.size), vr[use]])
-            # Covered nodes weigh their exact count; a partial leaf its
-            # estimated matching count N_i·k_pred/K_i, not the full partition
-            # size (DESIGN.md §5).
-            weights = np.concatenate([nodes.count[covered], n_strata[use] * k_pred[use] / sizes[use]])
-            if not weights.size:
-                return AqpResult(float("nan"), float("nan"), lb, ub, processed, skipped)
-            w = weights / weights.sum()
-            est = float(np.dot(w, means))
-            var = float(np.dot(w * w, variances))
+            # Covered nodes weigh their exact count and add their exact SUM; a
+            # partial leaf weighs its estimated matching count N_i·k_pred/K_i,
+            # not the full partition size (DESIGN.md §5).
+            weight = sum(nodes.count[covered].tolist(), 0.0)
+            # §3.4: a partial leaf whose values are all equal has that exact
+            # mean. Without certified coverage the rule is not used: NaN
+            # equals nothing.
+            lows = nodes.min[partial].tolist()
+            highs = nodes.max[partial].tolist() if exact else [math.nan] * len(lows)
+            used = []
+            for n, k, kp, e_i, v_i, low, high in zip(
+                n_list, sizes, k_pred.tolist(), e.tolist(), vr.tolist(), lows, highs
+            ):
+                if kp:
+                    w = n * kp / k
+                    weight += w
+                    used.append((w, low, 0.0) if low == high else (w, e_i, v_i))
+            if not weight:
+                return AqpResult(math.nan, math.nan, lb, ub, processed, skipped)
+            # Normalised weights: one stratum alone gives its own estimate.
+            est = sum(nodes.sum[covered].tolist(), 0.0) / weight
+            var = 0.0
+            for w, e_i, v_i in used:
+                w /= weight
+                est += w * e_i
+                var += w * w * v_i
             return AqpResult(est, LAMBDA_99 * math.sqrt(var), lb, ub, processed, skipped)
 
         # MIN / MAX: exact over covered nodes, sampled over partial leaves;
         # the deterministic bounds are the uncertainty quantification.
-        pick = np.min if q.agg == "min" else np.max
         cand = np.concatenate([getattr(nodes, q.agg)[covered], v[m]])
         if not cand.size:
-            return AqpResult(float("nan"), float("nan"), lb, ub, processed, skipped)
-        half = (ub - lb) / 2.0 if np.isfinite(ub) and np.isfinite(lb) else float("nan")
-        return AqpResult(float(pick(cand)), half, lb, ub, processed, skipped)
+            return AqpResult(math.nan, math.nan, lb, ub, processed, skipped)
+        half = (ub - lb) / 2.0 if math.isfinite(ub) and math.isfinite(lb) else math.nan
+        return AqpResult(float(cand.min() if q.agg == "min" else cand.max()), half, lb, ub, processed, skipped)
 
     # -- dynamic updates (§4.5) -----------------------------------------
 
@@ -282,10 +296,13 @@ class PassSynopsis:
         encloses its leaf (DESIGN.md §3.8), so a tuple inside the leaf's value
         range and predicate box widens no node: MIN/MAX and the extents are
         written along the path only where the tuple lies outside the leaf's.
-        The leaf's stratified sample is maintained with Reservoir sampling
-        [41]: the new tuple replaces a uniformly random sampled tuple with
-        probability K_i/N_i, drawn from ``rng``, or from the synopsis's own
-        generator, seeded by the build, when ``rng`` is None.
+        A NULL predicate value counts the row in its leaf's SUM and COUNT but
+        widens no extent, as the build's Spark MIN and MAX skip NULLs. The
+        leaf's stratified sample is maintained with Reservoir sampling [41]:
+        the new tuple replaces a uniformly random sampled tuple with
+        probability K_i/N_i, N_i the leaf's COUNT with the tuple, drawn from
+        ``rng``, or from the synopsis's own generator, seeded by the build,
+        when ``rng`` is None.
 
         Returns the leaf id. A tuple whose value is NULL or NaN returns None
         and leaves the synopsis as it was, as the build leaves such rows out.
@@ -307,17 +324,14 @@ class PassSynopsis:
             nodes.min[path] = np.minimum(nodes.min[path], value)
         if not value <= nodes.max[leaf]:
             nodes.max[path] = np.maximum(nodes.max[path], value)
-        # Written so that NaN, inside no box, widens the path.
+        # A NULL (NaN) coordinate widens no extent, as the build's MIN and MAX
+        # skip NULLs: NaN compares false, and fmin/fmax skip it.
         pmin, pmax = nodes.pmin[leaf].tolist(), nodes.pmax[leaf].tolist()
-        if not all(lo <= p <= hi for lo, p, hi in zip(pmin, x, pmax)):
-            nodes.pmin[path] = np.minimum(nodes.pmin[path], x)
-            nodes.pmax[path] = np.maximum(nodes.pmax[path], x)
+        if any(p < lo or p > hi for lo, p, hi in zip(pmin, x, pmax)):
+            nodes.pmin[path] = np.fmin(nodes.pmin[path], x)
+            nodes.pmax[path] = np.fmax(nodes.pmax[path], x)
         self.n_total += 1
-        n_i = self._seen.get(lid)
-        if n_i is None:
-            n_i = int(nodes.count[leaf]) - 1  # before this insert
-        n_i += 1
-        self._seen[lid] = n_i
+        n_i = nodes.count.item(leaf)  # the leaf's rows, this one included
         sample = self.samples.get(lid)
         k_i = 0 if sample is None else len(sample[1])
         if rng is None:

@@ -14,6 +14,7 @@ Implements the estimator algebra of §2.1–§2.3:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ LAMBDA_99 = 2.576
 
 def stratum_estimate(
     agg: str, values: np.ndarray, mask: np.ndarray, sizes, n_strata
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Estimate each stratum's contribution from its uniform sample.
 
     Args:
@@ -42,34 +43,43 @@ def stratum_estimate(
         so a 100% sample is exact. For AVG the estimate is the plain mean of
         matching sampled values (equivalent to Equation 2) and k_pred is the
         number of matching samples; with no matching sample the estimate and
-        its variance are both NaN. A stratum with no sample gives (0, 0, 0).
+        its variance are both NaN. SUM and COUNT need no k_pred and get None.
+        A stratum with no sample gives (0, 0, 0).
     """
     if agg not in ("sum", "count", "avg"):
         raise ValueError(f"stratum_estimate does not support {agg!r}")
     k = np.asarray(sizes, dtype=np.int64)
     n = np.asarray(n_strata, dtype=np.float64)
-    if not k.all():  # estimate the sampled strata; one with no sample gives (0, 0, 0)
+    if 0 in sizes:  # estimate the sampled strata; one with no sample gives (0, 0, 0)
         sampled = k > 0
-        out = np.zeros(len(k)), np.zeros(len(k)), np.zeros(len(k), dtype=np.int64)
-        for o, r in zip(out, stratum_estimate(agg, values, mask, k[sampled], n[sampled])):
-            o[sampled] = r
-        return out
-    starts = np.cumsum(k) - k
-    k_pred = np.add.reduceat(mask, starts, dtype=np.int64)
+        out = []
+        for r in stratum_estimate(agg, values, mask, k[sampled], n[sampled]):
+            if r is not None:
+                full = np.zeros(len(k), dtype=r.dtype)
+                full[sampled] = r
+                r = full
+            out.append(r)
+        return tuple(out)
+    starts = np.add.accumulate(k) - k
+    kf = k.astype(np.float64)  # float by float: no cast in every operation below
     # φ = t·(a per-stratum scale), so each stratum's sums over t are scaled once.
     t = mask if agg == "count" else mask * values
     t_sum = np.add.reduceat(t, starts, dtype=np.float64)
-    dev = t - np.repeat(t_sum / k, k)
-    fpc = np.maximum(0.0, np.divide(n - k, n - 1.0, out=np.zeros(len(k)), where=n > 1))
-    var = np.divide(np.add.reduceat(dev * dev, starts), k - 1.0, out=np.zeros(len(k)), where=k > 1) / k * fpc
+    dev = t - (t_sum / kf).repeat(k)
+    # A sampled stratum has N_i >= K_i >= 1. The guards change no value: where
+    # K_i = 1 the squared deviations sum to 0, where N_i = 1 so does N_i − K_i.
+    fpc = np.maximum(0.0, (n - kf) / np.maximum(n - 1.0, 1.0))
+    var = np.add.reduceat(dev * dev, starts) / np.maximum(kf - 1.0, 1.0) / kf * fpc
     if agg != "avg":
-        return t_sum / k * n, var * (n * n), k_pred
+        return t_sum / kf * n, var * (n * n), None
     # AVG: φ = t·K_i/k_pred, whose mean is the mean of the matching values.
-    matched = k_pred > 0
-    scale = np.divide(k, k_pred, out=np.zeros(len(k)), where=matched)
-    est = np.divide(t_sum, k_pred, out=np.zeros(len(k)), where=matched)
+    k_pred = np.add.reduceat(mask, starts, dtype=np.int64)
+    divisor = np.maximum(k_pred, 1)  # a stratum with no match is set to NaN below
+    scale = kf / divisor
+    est = t_sum / divisor
     var *= scale * scale
-    est[~matched] = var[~matched] = np.nan
+    unmatched = k_pred == 0
+    est[unmatched] = var[unmatched] = np.nan
     return est, var, k_pred
 
 
@@ -83,15 +93,15 @@ class PartStats:
     max: float
 
 
-def sum_range(nodes, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def sum_range(nodes, idx: np.ndarray) -> tuple[list[float], list[float]]:
     """Per node of ``idx``: the least and greatest SUM any subset of its
-    tuples can have, for values of any sign. A node whose values are all
-    non-negative spans [0, SUM]; all non-positive, [SUM, 0]; mixed,
+    tuples can have, for values of any sign, as lists. A node whose values
+    are all non-negative spans [0, SUM]; all non-positive, [SUM, 0]; mixed,
     [COUNT·MIN, COUNT·MAX]."""
-    s, c, lo, hi = nodes.sum[idx], nodes.count[idx], nodes.min[idx], nodes.max[idx]
+    rows = list(zip(*(a[idx].tolist() for a in (nodes.sum, nodes.count, nodes.min, nodes.max))))
     return (
-        np.where(hi <= 0, s, np.minimum(0.0, c * lo)),
-        np.where(lo >= 0, s, np.maximum(0.0, c * hi)),
+        [s if hi <= 0 else c * lo if lo < 0 else 0.0 for s, c, lo, hi in rows],
+        [s if lo >= 0 else c * hi if hi > 0 else 0.0 for s, c, lo, hi in rows],
     )
 
 
@@ -102,37 +112,38 @@ def hard_bounds(agg: str, nodes, covered: np.ndarray, partial: np.ndarray) -> tu
     :class:`~repro.core.tree.NodeStats`); ``covered`` indexes the nodes known
     to lie fully inside the predicate, ``partial`` those that may contribute
     anywhere from zero tuples to all of their tuples. SUM bounds hold for
-    values of any sign (:func:`sum_range`).
+    values of any sign (:func:`sum_range`). A query reads a handful of nodes,
+    so their scalars are summed as Python floats: numpy's fixed cost per call
+    is larger than the work.
     """
     if agg == "count":
-        lb = nodes.count[covered].sum()
-        return float(lb), float(lb + nodes.count[partial].sum())
+        lb = sum(nodes.count[covered].tolist(), 0.0)
+        return lb, sum(nodes.count[partial].tolist(), lb)
     if agg == "sum":
-        base = nodes.sum[covered].sum()
+        base = sum(nodes.sum[covered].tolist(), 0.0)
         lo, hi = sum_range(nodes, partial)
-        return float(base + lo.sum()), float(base + hi.sum())
+        return sum(lo, base), sum(hi, base)
     if agg == "avg":
-        c_cnt = nodes.count[covered].sum()
-        cov_avg = nodes.sum[covered].sum() / c_cnt if c_cnt > 0 else float("nan")
+        c_cnt = sum(nodes.count[covered].tolist(), 0.0)
+        cov_avg = sum(nodes.sum[covered].tolist(), 0.0) / c_cnt if c_cnt > 0 else math.nan
         if not partial.size:
-            return float(cov_avg), float(cov_avg)
-        p_min = nodes.min[partial].min()
-        p_max = nodes.max[partial].max()
+            return cov_avg, cov_avg
+        p_min = min(nodes.min[partial].tolist())
+        p_max = max(nodes.max[partial].tolist())
         if not c_cnt > 0:
-            return float(p_min), float(p_max)
-        return float(min(cov_avg, p_min)), float(max(cov_avg, p_max))
+            return p_min, p_max
+        return min(cov_avg, p_min), max(cov_avg, p_max)
     if agg in ("min", "max"):
-        if not (covered.size or partial.size):
-            return float("nan"), float("nan")
+        cov = getattr(nodes, agg)[covered].tolist()
+        if not (cov or partial.size):
+            return math.nan, math.nan
         # True MIN <= every covered partition's MIN; it is >= the smallest
         # min of any relevant partition (mirrored for MAX).
         if agg == "min":
-            lb = min(nodes.min[covered].min(initial=np.inf), nodes.min[partial].min(initial=np.inf))
-            ub = nodes.min[covered].min() if covered.size else nodes.max[partial].max()
-        else:
-            ub = max(nodes.max[covered].max(initial=-np.inf), nodes.max[partial].max(initial=-np.inf))
-            lb = nodes.max[covered].max() if covered.size else nodes.min[partial].min()
-        return float(lb), float(ub)
+            mins = nodes.min[partial].tolist()
+            return min(cov + mins), min(cov) if cov else max(nodes.max[partial].tolist())
+        maxs = nodes.max[partial].tolist()
+        return max(cov) if cov else min(nodes.min[partial].tolist()), max(cov + maxs)
     raise ValueError(f"unsupported aggregate {agg!r}")
 
 

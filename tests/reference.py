@@ -1,18 +1,21 @@
 """Brute-force references for the vectorised partitioner, tree, estimator and
-Spark build code, the vectorised insert, and a Spark-free way to build a
-:class:`PassSynopsis` from numpy arrays."""
+Spark build code, the vectorised insert, the all-numpy query path, and a
+Spark-free way to build a :class:`PassSynopsis` from numpy arrays."""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import Window
 from pyspark.sql import functions as F
 
+from repro.core.kdtree import KDTree
 from repro.core.partitioner import Router1D
 from repro.core.spark_build import LEAF_COL
-from repro.core.synopsis import PassSynopsis
-from repro.core.tree import NodeStats, Tree, build_tree, mcf
-from repro.core.variance import cal_v
+from repro.core.synopsis import AqpResult, PassSynopsis, _tree_from_kd
+from repro.core.tree import NodeStats, Tree, build_tree, mcf, overlapping_leaves
+from repro.core.variance import LAMBDA_99, cal_v
 
 
 def leaf_stats(x: np.ndarray, v: np.ndarray, lids: np.ndarray, n_leaves: int) -> NodeStats:
@@ -133,10 +136,40 @@ def synopsis_1d(
     return PassSynopsis(tree, samples, ["c"], "a", len(v), assign=assign, seed=seed)
 
 
+def random_synopsis(
+    seed: int, kind: str, d: int, n_rows: int, n_leaves: int, distinct: int = 3
+) -> PassSynopsis:
+    """A 1-D fanout-2/4 or a k-d synopsis over ``n_rows`` rows on an integer
+    grid, with up to 4 sampled rows a leaf (some leaves whole, some empty)
+    and ``distinct`` values (1: every leaf's values are equal)."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 12, size=(n_rows, d)).astype(float)
+    v = rng.choice([0.0, 1.0, 4.0][:distinct], n_rows) + 2.0
+    if kind == "kd":
+        kd = KDTree(x, v, n_leaves, seed=seed)
+        router, n_leaves = kd.router(), kd.n_leaves
+    else:
+        x = x[:, :1]
+        b = rng.choice(np.arange(-1.0, 14.0, 0.5), n_leaves - 1, replace=False)
+        router = Router1D(np.sort(b))
+    lids = router(x)
+    stats = leaf_stats(x, v, lids, n_leaves)
+    if kind == "kd":
+        tree = _tree_from_kd(kd.root, stats)
+    else:
+        tree = build_tree(stats, fanout=2 if kind == "1d2" else 4)
+    samples = {}
+    for lid in np.unique(lids).tolist():
+        rows = np.flatnonzero(lids == lid)[:4]
+        samples[lid] = (x[rows], v[rows])
+    cols = [f"c{j}" for j in range(x.shape[1])]
+    return PassSynopsis(tree, samples, cols, "a", n_rows, assign=router)
+
+
 def insert_vectorised(syn: PassSynopsis, row: dict, rng: np.random.Generator) -> int:
     """:meth:`PassSynopsis.insert` with numpy on one row: the batch router,
-    and MIN/MAX and extents written along the whole path. A NULL value is
-    not handled."""
+    and MIN/MAX and extents written along the whole path, NaN skipped by
+    ``fmin``/``fmax``. A NULL value is not handled."""
     x = np.array([[row[c] for c in syn.pred_cols]], dtype=np.float64)
     value = float(row[syn.value_col])
     lid = int(syn.assign(x)[0])
@@ -149,14 +182,10 @@ def insert_vectorised(syn: PassSynopsis, row: dict, rng: np.random.Generator) ->
         nodes.min[path] = np.minimum(nodes.min[path], value)
     if not value <= nodes.max[leaf]:
         nodes.max[path] = np.maximum(nodes.max[path], value)
-    nodes.pmin[path] = np.minimum(nodes.pmin[path], x)
-    nodes.pmax[path] = np.maximum(nodes.pmax[path], x)
+    nodes.pmin[path] = np.fmin(nodes.pmin[path], x)
+    nodes.pmax[path] = np.fmax(nodes.pmax[path], x)
     syn.n_total += 1
-    n_i = syn._seen.get(lid)
-    if n_i is None:
-        n_i = nodes.count[leaf] - 1  # before this insert
-    n_i += 1
-    syn._seen[lid] = int(n_i)
+    n_i = nodes.count[leaf]
     sx, sv = syn.samples.get(lid, (np.empty((0, len(syn.sample_cols))), np.empty(0)))
     k_i = len(sv)
     if k_i and rng.random() < k_i / n_i:
@@ -167,6 +196,143 @@ def insert_vectorised(syn: PassSynopsis, row: dict, rng: np.random.Generator) ->
         sv[j] = value
         syn.samples[lid] = (sx, sv)
     return lid
+
+# -- query path: every per-node and per-stratum step in numpy -------------
+
+
+def numpy_stratum_estimate(agg: str, values: np.ndarray, mask: np.ndarray, sizes, n_strata):
+    """``variance.stratum_estimate`` with ``where=`` divides and ``k_pred``
+    for every aggregate: per-stratum ``(estimate, variance, k_pred)``."""
+    if agg not in ("sum", "count", "avg"):
+        raise ValueError(f"stratum_estimate does not support {agg!r}")
+    k = np.asarray(sizes, dtype=np.int64)
+    n = np.asarray(n_strata, dtype=np.float64)
+    if not k.all():  # estimate the sampled strata; one with no sample gives (0, 0, 0)
+        sampled = k > 0
+        out = np.zeros(len(k)), np.zeros(len(k)), np.zeros(len(k), dtype=np.int64)
+        for o, r in zip(out, numpy_stratum_estimate(agg, values, mask, k[sampled], n[sampled])):
+            o[sampled] = r
+        return out
+    starts = np.cumsum(k) - k
+    k_pred = np.add.reduceat(mask, starts, dtype=np.int64)
+    t = mask if agg == "count" else mask * values
+    t_sum = np.add.reduceat(t, starts, dtype=np.float64)
+    dev = t - np.repeat(t_sum / k, k)
+    fpc = np.maximum(0.0, np.divide(n - k, n - 1.0, out=np.zeros(len(k)), where=n > 1))
+    var = np.divide(np.add.reduceat(dev * dev, starts), k - 1.0, out=np.zeros(len(k)), where=k > 1) / k * fpc
+    if agg != "avg":
+        return t_sum / k * n, var * (n * n), k_pred
+    matched = k_pred > 0
+    scale = np.divide(k, k_pred, out=np.zeros(len(k)), where=matched)
+    est = np.divide(t_sum, k_pred, out=np.zeros(len(k)), where=matched)
+    var *= scale * scale
+    est[~matched] = var[~matched] = np.nan
+    return est, var, k_pred
+
+
+def numpy_sum_range(nodes, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``variance.sum_range`` as numpy arrays."""
+    s, c, lo, hi = nodes.sum[idx], nodes.count[idx], nodes.min[idx], nodes.max[idx]
+    return (
+        np.where(hi <= 0, s, np.minimum(0.0, c * lo)),
+        np.where(lo >= 0, s, np.maximum(0.0, c * hi)),
+    )
+
+
+def numpy_hard_bounds(agg: str, nodes, covered: np.ndarray, partial: np.ndarray) -> tuple[float, float]:
+    """``variance.hard_bounds`` with every sum, minimum and maximum over
+    node arrays taken in numpy."""
+    if agg == "count":
+        lb = nodes.count[covered].sum()
+        return float(lb), float(lb + nodes.count[partial].sum())
+    if agg == "sum":
+        base = nodes.sum[covered].sum()
+        lo, hi = numpy_sum_range(nodes, partial)
+        return float(base + lo.sum()), float(base + hi.sum())
+    if agg == "avg":
+        c_cnt = nodes.count[covered].sum()
+        cov_avg = nodes.sum[covered].sum() / c_cnt if c_cnt > 0 else float("nan")
+        if not partial.size:
+            return float(cov_avg), float(cov_avg)
+        p_min = nodes.min[partial].min()
+        p_max = nodes.max[partial].max()
+        if not c_cnt > 0:
+            return float(p_min), float(p_max)
+        return float(min(cov_avg, p_min)), float(max(cov_avg, p_max))
+    if agg in ("min", "max"):
+        if not (covered.size or partial.size):
+            return float("nan"), float("nan")
+        if agg == "min":
+            lb = min(nodes.min[covered].min(initial=np.inf), nodes.min[partial].min(initial=np.inf))
+            ub = nodes.min[covered].min() if covered.size else nodes.max[partial].max()
+        else:
+            ub = max(nodes.max[covered].max(initial=-np.inf), nodes.max[partial].max(initial=-np.inf))
+            lb = nodes.max[covered].max() if covered.size else nodes.min[partial].min()
+        return float(lb), float(ub)
+    raise ValueError(f"unsupported aggregate {agg!r}")
+
+
+def numpy_answer(syn: PassSynopsis, q) -> AqpResult:
+    """:meth:`PassSynopsis.answer` with numpy over every per-node and
+    per-stratum scalar: :func:`numpy_hard_bounds`,
+    :func:`numpy_stratum_estimate`, and the AVG combine as arrays."""
+    lo, hi, external = q.box(syn.pred_cols)
+    nodes = syn.tree.nodes
+    exact = syn.use_aggregates and not external
+    if exact:
+        covered, partial = mcf(syn.tree, lo, hi)
+        lb, ub = numpy_hard_bounds(q.agg, nodes, covered, partial)
+    else:
+        partial = overlapping_leaves(syn.tree, lo, hi)
+        covered = partial[:0]
+        lb = ub = float("nan")
+    n_strata = nodes.count[partial]
+    skipped = 1.0 - float(n_strata.sum()) / syn.n_total if syn.n_total else 0.0
+    no_sample = (np.empty((0, len(syn.sample_cols))), np.empty(0))
+    drawn = [syn.samples.get(lid, no_sample) for lid in syn.tree.leaf_id[partial].tolist()]
+    sizes = np.array([len(v) for _, v in drawn], dtype=np.int64)
+    x, v = map(np.concatenate, zip(*drawn)) if drawn else no_sample
+    m = q.sample_mask(x, syn.sample_cols)
+    processed = int(v.size)
+
+    if q.agg in ("sum", "count"):
+        e, vr, _ = numpy_stratum_estimate(q.agg, v, m, sizes, n_strata)
+        est = getattr(nodes, q.agg)[covered].sum() + e.sum()
+        var = vr.sum()
+        if not sizes.all():
+            idle = partial[sizes == 0]
+            if q.agg == "sum":
+                r_lo, r_hi = numpy_sum_range(nodes, idle)
+            else:
+                r_lo, r_hi = np.zeros(idle.size), nodes.count[idle]
+            half = (r_hi - r_lo) / 2.0
+            est += (r_lo + half).sum()
+            var += (half * half).sum()
+        return AqpResult(float(est), LAMBDA_99 * math.sqrt(var), lb, ub, processed, skipped)
+
+    if q.agg == "avg":
+        e, vr, k_pred = numpy_stratum_estimate("avg", v, m, sizes, n_strata)
+        if exact:
+            zero = (nodes.count[partial] > 0) & (nodes.min[partial] == nodes.max[partial])
+            e[zero] = nodes.min[partial[zero]]
+            vr[zero] = 0.0
+        use = k_pred > 0
+        means = np.concatenate([nodes.sum[covered] / nodes.count[covered], e[use]])
+        variances = np.concatenate([np.zeros(covered.size), vr[use]])
+        weights = np.concatenate([nodes.count[covered], n_strata[use] * k_pred[use] / sizes[use]])
+        if not weights.size:
+            return AqpResult(float("nan"), float("nan"), lb, ub, processed, skipped)
+        w = weights / weights.sum()
+        est = float(np.dot(w, means))
+        var = float(np.dot(w * w, variances))
+        return AqpResult(est, LAMBDA_99 * math.sqrt(var), lb, ub, processed, skipped)
+
+    pick = np.min if q.agg == "min" else np.max
+    cand = np.concatenate([getattr(nodes, q.agg)[covered], v[m]])
+    if not cand.size:
+        return AqpResult(float("nan"), float("nan"), lb, ub, processed, skipped)
+    half = (ub - lb) / 2.0 if np.isfinite(ub) and np.isfinite(lb) else float("nan")
+    return AqpResult(float(pick(cand)), half, lb, ub, processed, skipped)
 
 
 # -- partitioning DP: scalar references ---------------------------------

@@ -36,19 +36,26 @@ def test_tracer_installs_and_restores():
 
 @pytest.mark.parametrize("agg", ["sum", "count", "avg", "min", "max"])
 def test_one_answer_traces_one_mcf_and_one_estimate(agg):
-    """A query is one MCF pass and at most one batched stratum estimate, and
-    the traced node counts are the sizes of what MCF returned."""
+    """A query is one MCF pass, one hard-bounds call and at most one batched
+    stratum estimate, and the traced node counts are the sizes of what MCF
+    returned. The same query of a sample-only synopsis (ST) runs neither MCF
+    nor hard bounds."""
     rng = np.random.default_rng(3)
     c = rng.integers(0, 1000, 4000).astype(float)
     syn = synopsis_1d(c, rng.lognormal(0, 1, c.size), np.arange(50.0, 1000.0, 50.0), 20)
+    sample_only = PassSynopsis(syn.tree, syn.samples, syn.pred_cols, "a", syn.n_total, use_aggregates=False)
     q = Query(agg, ("c",), (120.0,), (730.0,))
     t = tracer.Tracer(None, types.SimpleNamespace(count=lambda: 0))
     with t.installed():
-        t.new_op("query")
-        syn.answer(q)
-    names = [name for _, name, *_ in t.spans]
-    assert names.count("tree.mcf") == 1
-    assert names.count("variance.stratum_estimate") <= 1
+        for s in (syn, sample_only):
+            t.new_op("query")
+            s.answer(q)
+    names = [[name for op, name, *_ in t.spans if op == i] for i in range(2)]
+    assert names[0].count("tree.mcf") == 1
+    assert names[0].count("variance.hard_bounds") == 1
+    assert names[1].count("tree.mcf") == names[1].count("variance.hard_bounds") == 0
+    for n in names:
+        assert n.count("variance.stratum_estimate") <= 1
     lo, hi, _ = q.box(syn.pred_cols)
     covered, partial = tree.mcf(syn.tree, lo, hi)
     assert partial.size > 0

@@ -1,16 +1,21 @@
 """PASS synopsis: exactness on aligned queries, estimator quality, hard
 bounds, CIs, skip accounting, budget allocation, KD build (§3)."""
+import math
+
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.baselines.uniform import one_stratum
 from repro.core.query import Query
 from repro.core.synopsis import PassSynopsis, allocate_budget
 from repro.core.variance import LAMBDA_99
 from repro.oracle import assert_equivalent
 from repro.synth_data import NYC_PREDICATES
 from repro.workload import random_queries
-from tests.reference import synopsis_1d
+from tests.reference import numpy_answer, random_synopsis, synopsis_1d
 
 
 # -- budget allocation ---------------------------------------------------
@@ -287,3 +292,84 @@ def test_sum_without_samples_is_bound_midpoint(nyc_pdf):
             half = (res.ub - res.lb) / 2
             assert (res.ci_half > 0) == (half > 0)
             assert res.ci_half <= LAMBDA_99 * half * (1 + 1e-9)
+
+
+# -- the query path against the all-numpy reference -------------------------
+
+#: A predicate value of an inserted row: on the grid, beyond it, NaN or NULL.
+PRED = st.one_of(st.integers(0, 11).map(float), st.floats(-30, 40), st.just(math.nan), st.none())
+
+
+def same(a: float, b: float, scale: float | None = None) -> bool:
+    """Equal or both NaN; given a ``scale``, also within 1e-12 of the
+    largest of |a|, |b| and ``scale``."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return True
+    return scale is not None and abs(a - b) <= 1e-12 * max(abs(a), abs(b), scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["1d2", "1d4", "kd", "us"]),
+    d=st.integers(1, 3),
+    n_rows=st.integers(1, 100),
+    n_leaves=st.integers(2, 24),
+    distinct=st.integers(1, 3),
+    unsampled=st.sampled_from([0.0, 0.0, 0.3]),
+    aggregates=st.sampled_from([True, True, True, False]),
+    external=st.sampled_from([False, False, True]),
+    inserts=st.lists(
+        st.tuples(st.lists(PRED, min_size=4, max_size=4), st.sampled_from([3.0, 6.0]) | st.floats(-50, 50)),
+        max_size=12,
+    ),
+    boxes=st.lists(
+        st.lists(st.tuples(st.integers(-2, 13), st.integers(0, 9)), min_size=4, max_size=4),
+        min_size=1, max_size=3,
+    ),
+)
+def test_answer_equals_numpy_answer(seed, kind, d, n_rows, n_leaves, distinct, unsampled, aggregates,
+                                    external, inserts, boxes):
+    """``answer`` gives what :func:`tests.reference.numpy_answer`, every
+    per-node and per-stratum step in numpy, gives: SUM and COUNT estimates
+    and CIs and MIN/MAX answers bit for bit, every other field within 1e-12
+    relative, or of the largest |value| (AVG) or largest SUM (bounds) the
+    data allows, as sums of signed values may cancel. Over 1-D
+    fanout-2/4 and k-d synopses, partial leaves with no sample, leaves of
+    equal values, AVG with no matching row, a column outside the index, no
+    aggregates (ST), the one-leaf US synopsis, and after inserts with NULL
+    predicate values."""
+    rng = np.random.default_rng(seed)
+    if kind == "us":
+        x = rng.integers(0, 12, size=(min(n_rows, 30), d + 1)).astype(float)
+        syn = one_stratum(x, rng.choice([2.0, 3.0, 6.0], len(x)), [f"c{j}" for j in range(d)] + ["e"], "a", n_rows)
+        query_cols = syn.sample_cols
+    else:
+        base = random_synopsis(seed, kind, d, n_rows, n_leaves, distinct)
+        samples = {
+            lid: (np.column_stack([sx, rng.integers(0, 12, len(sv)).astype(float)]), sv)
+            for lid, (sx, sv) in base.samples.items()
+            if rng.random() >= unsampled
+        }
+        syn = PassSynopsis(
+            base.tree, samples, base.pred_cols, "a", base.n_total, base.pred_cols + ["e"],
+            use_aggregates=aggregates, assign=base.assign,
+        )
+        for point, value in inserts:
+            syn.insert({**dict(zip(syn.sample_cols, point)), "a": value}, rng)
+        query_cols = syn.pred_cols + (["e"] if external else [])
+    nodes = syn.tree.nodes
+    largest = float(np.nanmax(np.abs([nodes.min[0], nodes.max[0], 1.0])))  # of |value|
+    scale = largest * max(1.0, nodes.count[0])
+    for box in boxes:
+        ranges = box[: len(query_cols)]
+        for agg in ("sum", "count", "avg", "min", "max"):
+            q = Query(agg, tuple(query_cols), tuple(float(lo) for lo, _ in ranges),
+                      tuple(float(lo + w) for lo, w in ranges))
+            got, want = syn.answer(q), numpy_answer(syn, q)
+            assert (got.processed, got.skipped_frac) == (want.processed, want.skipped_frac)
+            assert same(got.lb, want.lb, scale) and same(got.ub, want.ub, scale), (q, got, want)
+            if agg == "avg":
+                assert same(got.est, want.est, largest) and same(got.ci_half, want.ci_half, largest), (q, got, want)
+            else:  # bit for bit
+                assert same(got.est, want.est) and same(got.ci_half, want.ci_half), (q, got, want)

@@ -156,12 +156,6 @@ def test_zero_variance_rule():
     assert res.lb == res.ub == 0.1
 
 
-def test_zero_variance_property():
-    zv = leaves_from([[3, 3, 3], [1, 2]], [(0, 1), (2, 3)]).zero_variance
-    assert zv.tolist() == [True, False]
-    assert not NodeStats.empty(1, 1).zero_variance[0]
-
-
 def test_synopsis_bytes_accounting(chain_leaves):
     tree = build_tree(chain_leaves, fanout=2)
     b = synopsis_bytes(tree.n_nodes, d=1, n_rows=10, row_width=2)

@@ -1,21 +1,24 @@
 """§4.5 dynamic updates (reservoir inserts) and the group-by extension."""
 import copy
 import math
+import pickle
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pyspark.sql import types as T
 
-from repro.core.kdtree import KDTree
+from repro.core import spark_build
+from repro.core.kdtree import KDRouter, KDTree
 from repro.core.partitioner import Router1D
 from repro.core.query import Query
 from repro.core.synopsis import PassSynopsis, _tree_from_kd
 from repro.core.tree import build_tree
 from repro.core.variance import LAMBDA_99
-from repro.synth_data import NYC_PREDICATES
-from tests.reference import insert_vectorised, leaf_stats, synopsis_1d
+from repro.synth_data import NYC_PREDICATES, nyc_taxi_pdf
+from tests.reference import insert_vectorised, leaf_stats, random_synopsis, synopsis_1d
 
 
 @pytest.fixture()
@@ -122,6 +125,71 @@ def test_insert_without_value_leaves_synopsis_untouched():
     assert math.isfinite(want.est) and want.ci_half == 0 and want.lb == want.est == want.ub
 
 
+def test_null_predicate_insert_keeps_the_root_covered():
+    """A NULL or NaN predicate value counts the row in its leaf's SUM and
+    COUNT but widens no extent, as the build's MIN and MAX skip NULLs: the
+    full-range SUM stays exact, with its hard bounds, and counts the row."""
+    rng = np.random.default_rng(8)
+    c = rng.uniform(0, 100, 1000)
+    v = rng.lognormal(0, 1, c.size)
+    syn = synopsis_1d(c, v, np.arange(10.0, 100.0, 10.0), 20)
+    nodes = syn.tree.nodes
+    pmin, pmax, count = nodes.pmin.copy(), nodes.pmax.copy(), nodes.count.copy()
+    q = Query("sum", ("c",), (-1e18,), (1e18,))
+    lids = [syn.insert({"c": p, "a": 1.0}, rng) for p in (None, math.nan)]
+    leaf = syn.tree.leaf_node[lids[0]]
+    assert lids[1] == lids[0] and nodes.count[leaf] == count[leaf] + 2
+    np.testing.assert_array_equal(nodes.pmin, pmin)
+    np.testing.assert_array_equal(nodes.pmax, pmax)
+    res = syn.answer(q)
+    assert res.ci_half == 0 and res.lb == res.est == res.ub
+    assert res.est == pytest.approx(v.sum() + 2.0, rel=1e-12)
+
+
+def spark_tree(spark, rows: list[tuple], cols: list[str], kd: KDTree | None, boundaries=None):
+    """The tree the Spark build path aggregates over ``rows`` (the predicate
+    columns ``cols``, then the value ``v``; None is NULL), leaves routed by
+    the k-d tree ``kd`` or, without one, by the 1-D ``boundaries``."""
+    schema = T.StructType([T.StructField(c, T.DoubleType()) for c in [*cols, "v"]])
+    df = spark.createDataFrame([tuple(None if x is None else float(x) for x in r) for r in rows], schema)
+    if kd is None:
+        df_leaf, n_leaves = spark_build.with_leaf_1d(df, cols[0], boundaries), len(boundaries) + 1
+    else:
+        df_leaf, n_leaves = spark_build.with_leaf_fn(df, cols, kd), kd.n_leaves
+    agg = spark_build.leaf_aggregates(spark_build.valued(df_leaf, "v"), "v", cols)
+    leaves = spark_build.leaves_from_aggregates(agg, cols, n_leaves)
+    return build_tree(leaves, fanout=2) if kd is None else _tree_from_kd(kd.root, leaves)
+
+
+@pytest.mark.parametrize("kind", ["1d", "kd"])
+def test_null_predicate_insert_equals_build(spark, kind):
+    """Rows with a NULL predicate value, inserted one by one, leave the
+    extents a Spark build over the rows with them has (its MIN and MAX skip
+    NULLs); their other coordinates, outside the data, widen theirs. The
+    SUM and COUNT of every node agree too."""
+    g = np.random.default_rng(11)
+    base = [(float(a), float(b), float(w)) for a, b, w in
+            zip(g.integers(0, 50, 300), g.integers(0, 50, 300), g.lognormal(0, 1, 300))]
+    if kind == "1d":
+        cols, kd, b = ["p"], None, np.array([10.0, 20.0, 30.0, 40.0])
+        base = [(p, w) for p, _, w in base]
+        extra = [(None, 2.5), (None, 0.5)]
+        router = Router1D(b)
+    else:
+        cols, b = ["p", "q"], None
+        kd = KDTree(np.array([r[:2] for r in base]), np.array([r[2] for r in base]), 16, policy="us")
+        extra = [(None, 70.0, 2.5), (-9.0, None, 1.5), (None, None, 0.5)]
+        router = kd.router()
+    want = spark_tree(spark, base + extra, cols, kd, b).nodes
+    syn = PassSynopsis(spark_tree(spark, base, cols, kd, b), {}, cols, "v", len(base), assign=router)
+    for r in extra:
+        syn.insert({**dict(zip(cols, r)), "v": r[-1]})
+    got = syn.tree.nodes
+    for a in ("pmin", "pmax", "count", "min", "max"):
+        np.testing.assert_array_equal(getattr(got, a), getattr(want, a), err_msg=a)
+    np.testing.assert_allclose(got.sum, want.sum, rtol=1e-12)
+
+
 def test_insert_without_rng_is_seeded_by_the_build():
     """Two synopses built with the same seed, fed the same stream without an
     ``rng``, end up equal; every leaf's sample is the whole leaf, so most
@@ -161,15 +229,15 @@ def test_in_box_insert_writes_no_extremes():
 
 
 def assert_same_synopsis(a: PassSynopsis, b: PassSynopsis) -> None:
-    """Every node array, sampled row, reservoir counter and the row count
-    are equal, NaN to NaN."""
+    """Every node array, sampled row and the row count are equal, NaN to
+    NaN."""
     for f in ("sum", "count", "min", "max", "pmin", "pmax"):
         assert np.array_equal(getattr(a.tree.nodes, f), getattr(b.tree.nodes, f), equal_nan=True), f
     assert a.samples.keys() == b.samples.keys()
     for lid, (x, v) in a.samples.items():
         assert np.array_equal(x, b.samples[lid][0], equal_nan=True)
         assert np.array_equal(v, b.samples[lid][1])
-    assert a._seen == b._seen and a.n_total == b.n_total
+    assert a.n_total == b.n_total
 
 
 def edges(values) -> list:
@@ -205,44 +273,37 @@ def test_router_1d_leaf_equals_batch(bounds):
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), n_rows=st.integers(1, 150),
        k_leaves=st.integers(1, 40))
 def test_router_kd_leaf_equals_batch(seed, d, n_rows, k_leaves):
-    """``KDTree.leaf`` routes one row where the batch descent routes it:
-    each split value of each dimension and its neighbours, ±inf, NaN and
-    NULL, with the other coordinates drawn from the same values."""
+    """``KDRouter.leaf`` routes one row where the batch descent routes it,
+    and the router a synopsis keeps routes as the grown tree does: each
+    split value of each dimension and its neighbours, ±inf, NaN and NULL,
+    with the other coordinates drawn from the same values."""
     rng = np.random.default_rng(seed)
     x = rng.integers(0, 6, size=(n_rows, d)).astype(float)
     kd = KDTree(x, rng.lognormal(0, 1, n_rows), k_leaves, seed=seed)
+    router = kd.router()
     cand = [edges(kd.split[kd.leaf_of < 0, j]) for j in range(d)]
     for j in range(d):
         for p in cand[j]:
             point = [p if i == j else cand[i][rng.integers(len(cand[i]))] for i in range(d)]
-            assert kd.leaf(floats(point)) == kd(np.array([point]))[0]
+            batch = np.array([point], dtype=np.float64)
+            assert router.leaf(floats(point)) == router(batch)[0] == kd(batch)[0]
 
 
-def random_synopsis(seed: int, kind: str, d: int, n_rows: int, n_leaves: int) -> PassSynopsis:
-    """A 1-D fanout-2/4 or a k-d synopsis over ``n_rows`` rows on an integer
-    grid, with up to 4 sampled rows a leaf (some leaves whole, some empty)."""
-    rng = np.random.default_rng(seed)
-    x = rng.integers(0, 12, size=(n_rows, d)).astype(float)
-    v = rng.choice([0.0, 1.0, 4.0], n_rows) + 2.0
-    if kind == "kd":
-        router = KDTree(x, v, n_leaves, seed=seed)
-        n_leaves = router.n_leaves
-    else:
-        x = x[:, :1]
-        b = rng.choice(np.arange(-1.0, 14.0, 0.5), n_leaves - 1, replace=False)
-        router = Router1D(np.sort(b))
-    lids = router(x)
-    stats = leaf_stats(x, v, lids, n_leaves)
-    if kind == "kd":
-        tree = _tree_from_kd(router.root, stats)
-    else:
-        tree = build_tree(stats, fanout=2 if kind == "1d2" else 4)
-    samples = {}
-    for lid in np.unique(lids).tolist():
-        rows = np.flatnonzero(lids == lid)[:4]
-        samples[lid] = (x[rows], v[rows])
-    cols = [f"c{j}" for j in range(x.shape[1])]
-    return PassSynopsis(tree, samples, cols, "a", n_rows, assign=router)
+def test_kd_router_keeps_no_optimisation_sample(nyc_kd_synopsis):
+    """A k-d synopsis routes its inserts with the decision tree alone: the
+    router of a 128-leaf tree over 3 columns, grown on a 4,096-row
+    optimisation sample, pickles to under 32 KB and routes every row as the
+    tree does, before and after a pickle round trip."""
+    pdf = nyc_taxi_pdf(n=4096, seed=12)
+    x = pdf[NYC_PREDICATES[:3]].to_numpy(np.float64)
+    kd = KDTree(x, pdf["trip_distance"].to_numpy(np.float64), 128)
+    assert kd.n_leaves > 100
+    blob = pickle.dumps(kd.router())
+    assert len(blob) < 32_000
+    router = pickle.loads(blob)
+    np.testing.assert_array_equal(router(x), kd(x))
+    assert [router.leaf(p) for p in x[:500].tolist()] == kd(x[:500]).tolist()
+    assert type(nyc_kd_synopsis.assign) is KDRouter
 
 
 #: A predicate value of an inserted row: on the grid (often inside its leaf's
@@ -268,8 +329,8 @@ PRED = st.one_of(
     ),
 )
 def test_insert_equals_vectorised_insert(seed, kind, d, n_rows, n_leaves, stream):
-    """A stream of inserts leaves the same node arrays, samples, reservoir
-    counters and row count as the vectorised insert of
+    """A stream of inserts leaves the same node arrays, samples and row
+    count as the vectorised insert of
     :func:`tests.reference.insert_vectorised`: rows inside and outside their
     leaf's value range and box, with NaN and NULL predicate values."""
     a = random_synopsis(seed, kind, d, n_rows, n_leaves)

@@ -10,6 +10,7 @@ from tests.reference import (
     PrefixStats,
     max_var_query_sum,
     max_var_query_sum_exact,
+    numpy_stratum_estimate,
     stratum_estimate_one,
 )
 
@@ -20,9 +21,10 @@ rng = np.random.default_rng(42)
 
 
 def one(agg, v, m, n):
-    """``stratum_estimate`` over one stratum, as scalars."""
+    """``stratum_estimate`` over one stratum, as scalars; k_pred is None for
+    SUM and COUNT."""
     est, var, k = stratum_estimate(agg, v, m, [len(v)], [n])
-    return float(est[0]), float(var[0]), int(k[0])
+    return float(est[0]), float(var[0]), None if k is None else int(k[0])
 
 
 def test_full_sample_sum_is_exact():
@@ -50,8 +52,8 @@ def test_full_sample_avg_is_exact():
 
 
 def test_empty_sample():
-    est, var, k = one("sum", np.empty(0), np.empty(0, bool), 50)
-    assert (est, var, k) == (0.0, 0.0, 0)
+    assert one("sum", np.empty(0), np.empty(0, bool), 50) == (0.0, 0.0, None)
+    assert one("avg", np.empty(0), np.empty(0, bool), 50) == (0.0, 0.0, 0)
 
 
 def test_avg_no_match_is_nan():
@@ -117,18 +119,24 @@ def stratified(draw, sizes):
 )
 def test_segments_match_one_stratum_at_a_time(draw, sizes, extra, agg):
     """One call over S strata equals S single-stratum estimates with
-    ``np.var(ddof=1)`` — including no strata, empty (K=0) and single-row
-    (K=1) strata, strata with no matching row, and 100% samples (N=K),
-    where the finite-population correction makes the variance 0."""
+    ``np.var(ddof=1)``, and bit for bit the estimate with ``where=`` divides
+    — including no strata, empty (K=0) and single-row (K=1) strata, strata
+    with no matching row, and 100% samples (N=K), where the
+    finite-population correction makes the variance 0."""
     v, m = stratified(draw, sizes)
     n = [k + e if e % 3 else k for k, e in zip(sizes, extra)]  # every third stratum is complete
     est, var, k_pred = stratum_estimate(agg, v, m, sizes, n)
-    assert est.shape == var.shape == k_pred.shape == (len(sizes),)
+    assert est.shape == var.shape == (len(sizes),)
+    assert (k_pred.shape == (len(sizes),)) if agg == "avg" else (k_pred is None)
+    # The same numbers as the estimate with where= divides, bit for bit.
+    ref = numpy_stratum_estimate(agg, v, m, sizes, n)
+    np.testing.assert_array_equal(est, ref[0])
+    np.testing.assert_array_equal(var, ref[1])
     start = 0
     for i, k in enumerate(sizes):
         e1, v1, p1 = stratum_estimate_one(agg, v[start : start + k], m[start : start + k], n[i])
         start += k
-        assert k_pred[i] == p1
+        assert agg != "avg" or k_pred[i] == p1
         np.testing.assert_allclose([est[i], var[i]], [e1, v1], rtol=1e-12, atol=1e-12)
         if n[i] == k:
             assert var[i] == 0.0 or np.isnan(var[i])
