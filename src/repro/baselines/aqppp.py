@@ -152,8 +152,7 @@ def build_aqppp_1d(
     rows with a value."""
     t0 = time.perf_counter()
     df = spark_build.valued(df, value_col)
-    n_total = df.count()
-    opt = spark_build.optimization_sample(df, value_col, [pred_col], m_opt, n_total, seed=seed)
+    opt = spark_build.optimization_sample(df, value_col, [pred_col], m_opt, seed=seed)[0][:m_opt]
     a = opt[value_col].to_numpy(dtype=np.float64)
     c = opt[pred_col].to_numpy(dtype=np.float64)
     cuts = hill_climb_cuts(a, n_partitions, seed=seed)
@@ -169,7 +168,7 @@ def build_aqppp_1d(
         sample[value_col].to_numpy(dtype=np.float64),
         [pred_col],
         value_col,
-        n_total,
+        float(leaves.count.sum()),
         build_seconds=time.perf_counter() - t0,
     )
 
@@ -188,8 +187,7 @@ def build_kd_us(
     over the rows with a value."""
     t0 = time.perf_counter()
     df = spark_build.valued(df, value_col)
-    n_total = df.count()
-    opt = spark_build.optimization_sample(df, value_col, pred_cols, m_opt, n_total, seed=seed)
+    opt = spark_build.optimization_sample(df, value_col, pred_cols, m_opt, seed=seed)[0][:m_opt]
     kd = KDTree(
         opt[pred_cols].to_numpy(dtype=np.float64),
         opt[value_col].to_numpy(dtype=np.float64),
@@ -208,6 +206,6 @@ def build_kd_us(
         sample[value_col].to_numpy(dtype=np.float64),
         pred_cols,
         value_col,
-        n_total,
+        float(leaves.count.sum()),
         build_seconds=time.perf_counter() - t0,
     )

@@ -16,8 +16,11 @@ DataFrame/Catalyst API, and no Python code runs per row:
 * stratified sampling — exact per-stratum sample sizes without a shuffle:
   the driver keeps the K_i smallest draws of each leaf from those
   candidates. The thresholds are set before the leaf sizes are known, from
-  the optimisation sample; a leaf that comes back short is scanned again,
-  so the sample is the K_i smallest draws whatever the thresholds were.
+  the held-out rows of the optimisation sample; a leaf that comes back short
+  is scanned again, so the sample is the K_i smallest draws whatever the
+  thresholds were;
+* the optimisation sample — the rows with the smallest draws of a ``rand``
+  stream of their own, one top-k job that needs no row count.
 
 Each job runs with Spark's huge-method limit at HotSpot's 8,000-byte JIT
 limit (:func:`jit_sized_methods`): the k-d ``CASE`` would otherwise compile
@@ -57,6 +60,11 @@ def _name(col: str) -> str:
     return "`" + col.replace("`", "``") + "`"
 
 
+def _is_float(df: DataFrame, col: str) -> bool:
+    """Whether ``col`` can hold NaN: only a float column can."""
+    return isinstance(df.schema[col].dataType, (T.FloatType, T.DoubleType))
+
+
 def valued(df: DataFrame, value_col: str) -> DataFrame:
     """The rows of ``df`` whose value is not NULL. A row without a value has
     nothing to aggregate: every synopsis leaves it out of its aggregates, its
@@ -86,11 +94,8 @@ def with_leaf_fn(df: DataFrame, pred_cols: list[str], kd: KDRouter) -> DataFrame
     nested ``CASE`` expressions, one per split dimension of each internal
     node. A NULL or NaN coordinate is not above the split, as in numpy."""
     names = [_name(c) for c in pred_cols]
-    # Spark orders NaN above every number; only a float column can hold one.
-    nan_guard = [
-        f" AND NOT isnan({n})" if isinstance(df.schema[c].dataType, (T.FloatType, T.DoubleType)) else ""
-        for c, n in zip(pred_cols, names)
-    ]
+    # Spark orders NaN above every number.
+    nan_guard = [f" AND NOT isnan({n})" if _is_float(df, c) else "" for c, n in zip(pred_cols, names)]
 
     def node(i: int) -> str:
         if kd.leaf_of[i] >= 0:
@@ -256,18 +261,43 @@ def uniform_sample(
 
 
 def optimization_sample(
-    df: DataFrame, value_col: str, pred_cols: list[str], m: int, n_total: int, seed: int = 0
-) -> pd.DataFrame:
-    """The m-row sample the partitioning DP runs on (§4.3.1), sorted by the
-    first predicate column. Bernoulli sample with headroom, trimmed to m;
-    rows whose value is NULL (or NaN) are left out, as NULLs are of the
-    synopsis."""
-    rows = df.select(*pred_cols, value_col)
-    if m >= n_total:
-        pdf = rows.toPandas().dropna(subset=[value_col])
-    else:
-        frac = min(1.0, 1.3 * m / n_total + 10.0 / n_total)
-        pdf = rows.sample(fraction=frac, seed=seed).toPandas().dropna(subset=[value_col])
-        if len(pdf) > m:
-            pdf = pdf.sample(n=m, random_state=seed)
-    return pdf.sort_values(pred_cols[0]).reset_index(drop=True)
+    df: DataFrame, value_col: str, pred_cols: list[str], m: int, seed: int = 0
+) -> tuple[pd.DataFrame, float]:
+    """The m-row sample the partitioning optimiser runs on (§4.3.1), and m
+    more rows held out to size the leaves it makes, from one Spark job and
+    no row count.
+
+    Only rows whose value and predicate columns are all neither NULL nor NaN
+    are drawn (the others draw 2, above every draw, and are dropped if they
+    come back): the optimiser places cuts at their values. Each draws from a
+    ``rand`` stream of its own, seeded 2³² away from the strata's
+    ``rand(seed)``, so the rows the optimiser sees are independent of the
+    rows the stratified sample keeps. The 2m smallest draws come back, in
+    draw order, and the first m of them are then sorted by the first
+    predicate column: ``rows[:m]`` is the optimisation sample and ``rows[m:]``
+    the held-out rows.
+
+    Returns ``(rows, rate)``. The held-out rows are the drawn rows whose draw
+    lies in (u₍ₘ₎, u₍₂ₘ₎], so each row of the frame is among them with
+    probability ``rate`` = u₍₂ₘ₎ − u₍ₘ₎. With fewer than 2m rows every drawn
+    row came back: ``rate`` is 1, and every row of ``rows`` sizes the leaves.
+    """
+    names = [_name(c) for c in (*pred_cols, value_col)]
+    drawn = " AND ".join(
+        f"{n} IS NOT NULL" + (f" AND NOT isnan({n})" if _is_float(df, c) else "")
+        for c, n in zip((*pred_cols, value_col), names)
+    )
+    # No filter: each DataFrame call is a driver-side analysis of the plan.
+    # Nor ``spark.sql`` over ``{df}``: dropping its temporary view uncaches df.
+    top = (
+        df.selectExpr(*names, f"IF({drawn}, rand({int(seed) + 2**32}L), 2D) AS {_DRAW}")
+        .orderBy(_DRAW)
+        .limit(2 * int(m))
+    )
+    # collect, not toPandas: through Arrow the top-k takes a second stage.
+    pdf = pd.DataFrame.from_records(top.collect(), columns=[*pred_cols, value_col, _DRAW])
+    pdf = pdf[pdf[_DRAW] < 1.0]
+    u = pdf.pop(_DRAW).to_numpy(np.float64)
+    rate = float(u[2 * m - 1] - u[m - 1]) if len(u) == 2 * m else 1.0
+    head = pdf[:m].sort_values(pred_cols[0], kind="stable")
+    return pd.concat([head, pdf[m:]]).reset_index(drop=True), rate

@@ -116,10 +116,10 @@ class PassSynopsis:
         seed: int = 0,
     ) -> "PassSynopsis":
         t0 = time.perf_counter()
-        n_rows = df.count()
-        opt = spark_build.optimization_sample(df, value_col, [pred_col], m_opt, n_rows, seed=seed)
-        a = opt[value_col].to_numpy(dtype=np.float64)
-        c = opt[pred_col].to_numpy(dtype=np.float64)
+        rows, rate = spark_build.optimization_sample(df, value_col, [pred_col], m_opt, seed=seed)
+        a = rows[value_col].to_numpy(dtype=np.float64)[:m_opt]
+        c_all = rows[pred_col].to_numpy(dtype=np.float64)
+        c = c_all[:m_opt]
         if partitioner == "adp":
             cuts, _ = ADP(a, k_partitions).cuts(k_partitions)
         elif partitioner == "eq":
@@ -130,8 +130,8 @@ class PassSynopsis:
         df_leaf = spark_build.with_leaf_1d(df, pred_col, boundaries)
         return cls._finish(
             df_leaf, [pred_col], value_col, len(boundaries) + 1, None, sample_total,
-            "equal", fanout, sample_cols, seed, t0, n_rows, assign_partitions(c, boundaries),
-            Router1D(boundaries),
+            "equal", fanout, sample_cols, seed, t0, rate,
+            assign_partitions(_held_out(c_all, m_opt, rate), boundaries), Router1D(boundaries),
         )
 
     @classmethod
@@ -149,27 +149,26 @@ class PassSynopsis:
         seed: int = 0,
     ) -> "PassSynopsis":
         t0 = time.perf_counter()
-        n_rows = df.count()
-        opt = spark_build.optimization_sample(df, value_col, pred_cols, m_opt, n_rows, seed=seed)
-        x = opt[pred_cols].to_numpy(dtype=np.float64)
-        a = opt[value_col].to_numpy(dtype=np.float64)
-        kd = KDTree(x, a, k_leaves, seed=seed)
+        rows, rate = spark_build.optimization_sample(df, value_col, pred_cols, m_opt, seed=seed)
+        x = rows[pred_cols].to_numpy(dtype=np.float64)
+        a = rows[value_col].to_numpy(dtype=np.float64)[:m_opt]
+        kd = KDTree(x[:m_opt], a, k_leaves, seed=seed)
         df_leaf = spark_build.with_leaf_fn(df, pred_cols, kd)
         return cls._finish(
             df_leaf, pred_cols, value_col, kd.n_leaves, kd, sample_total,
-            alloc, 2, sample_cols, seed, t0, n_rows, kd(x), kd.router(),
+            alloc, 2, sample_cols, seed, t0, rate, kd(_held_out(x, m_opt, rate)), kd.router(),
         )
 
     @classmethod
     def _finish(
         cls, df_leaf, pred_cols, value_col, n_leaves, kd, sample_total,
-        alloc, fanout, sample_cols, seed, t0, n_rows, opt_leaves, assign,
+        alloc, fanout, sample_cols, seed, t0, rate, held_leaves, assign,
     ) -> "PassSynopsis":
         df_leaf = spark_build.valued(df_leaf, value_col)
         sample_cols = list(sample_cols) if sample_cols is not None else list(pred_cols)
         drawn = [*sample_cols, value_col]
         # One job: the leaf aggregates, and the candidate rows of the samples.
-        thresholds = sample_thresholds(n_rows, opt_leaves, n_leaves, sample_total, alloc)
+        thresholds = sample_thresholds(rate, held_leaves, n_leaves, sample_total, alloc)
         agg_pdf = spark_build.leaf_aggregates(df_leaf, value_col, pred_cols, (drawn, thresholds, seed))
         leaves = spark_build.leaves_from_aggregates(agg_pdf, pred_cols, n_leaves)
         if kd is None:
@@ -422,37 +421,58 @@ def allocate_budget(counts: list[float], total: int, alloc: str) -> list[int]:
     return out
 
 
+def leaf_size_bounds(
+    rate: float, held_leaves: np.ndarray, n_leaves: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high estimates (N_lo, N_hi) of every leaf's size N_i, from the
+    held-out rows of :func:`spark_build.optimization_sample`.
+
+    ``held_leaves`` is the leaf id of each held-out row, m′_i of them in leaf
+    i, and every row of the frame is held out with probability ``rate``. With
+    λ±(m) = m + z²/2 ± z·√(m + z²/4), the Poisson score bounds at a fixed
+    z = 2, N_lo = λ−(m′_i)/rate and N_hi = λ+(m′_i)/rate, taken as 0 for a
+    leaf with no held-out row. As λ−(0) = 0, such a leaf has N_lo = 0 too.
+    """
+    m = np.bincount(held_leaves, minlength=n_leaves).astype(np.float64)
+    z = 2.0
+    spread = z * np.sqrt(m + z * z / 4)
+    lo = (m + z * z / 2 - spread) / rate
+    hi = np.where(m > 0, (m + z * z / 2 + spread) / rate, 0.0)
+    return lo, hi
+
+
 def sample_thresholds(
-    n_rows: int, opt_leaves: np.ndarray, n_leaves: int, total: int, alloc: str
+    rate: float, held_leaves: np.ndarray, n_leaves: int, total: int, alloc: str
 ) -> np.ndarray:
     """Per-leaf draw thresholds of the one-scan stratified sample, set before
     the leaf sizes N_i are known.
 
-    ``n_rows`` is the frame's row count and ``opt_leaves`` the leaf id of
-    each of the M optimisation-sample rows, m_i of them in leaf i. A
-    heuristic sizes the candidate set: with λ±(m) = m + z²/2 ± z·√(m + z²/4),
-    the Poisson score bounds at a fixed z = 2, N_lo = (n/M)·λ−(m_i) is taken
-    as a low estimate of N_i, and K_i as the budget allocated over the high
-    estimates (n/M)·λ+(m_i), with the leaves that hold no optimisation-sample
-    row counted as empty (fewer leaves, more each). Then t_i, the
+    K_i is the budget allocated over the high estimates N_hi of
+    :func:`leaf_size_bounds`, with the leaves that hold no held-out row
+    counted as empty (fewer leaves, more each). Then t_i, the
     :func:`spark_build.candidate_threshold` of K_i and N_lo, keeps about
-    K_i + 4√K_i + 10 rows or more whenever N_i ≥ N_lo. As λ−(0) = 0, a leaf
-    with no optimisation-sample row gets t_i = 1.
+    K_i + 4√K_i + 10 rows or more whenever N_i ≥ N_lo; a leaf with no
+    held-out row gets t_i = 1.
 
-    The bounds would hold if m_i were a Poisson count, but ADP and k-d cuts
-    sit at optimisation-sample values, which ties m_i to the cuts: on the
-    benchmark shapes some leaves hold 3–4× fewer rows than N_lo. Nothing
-    rests on the estimate: a leaf that comes back short is scanned again, so
-    the sample does not depend on the thresholds.
+    The leaves are sized from rows the optimiser never saw. ADP and the k-d
+    growth choose their cuts from the optimisation sample, so a leaf tends
+    to be cut around a stretch where those rows happen to lie dense, and
+    their count in it overstates N_i (DESIGN.md §3.11). The held-out rows
+    fall into the leaves independently of the cuts, so m′_i is a binomial
+    count and N_i < N_lo is about as rare as a Poisson bound at z = 2 makes
+    it. Nothing rests on the estimate: a leaf that comes back short is
+    scanned again, so the sample does not depend on the thresholds.
     """
-    m = np.bincount(opt_leaves, minlength=n_leaves).astype(np.float64)
-    z = 2.0
-    spread = z * np.sqrt(m + z * z / 4)
-    scale = n_rows / max(1, len(opt_leaves))
-    lo = (m + z * z / 2 - spread) * scale
-    hi = np.where(m > 0, (m + z * z / 2 + spread) * scale, 0.0)
+    lo, hi = leaf_size_bounds(rate, held_leaves, n_leaves)
     k = np.array(allocate_budget(hi.tolist(), total, alloc), dtype=np.float64)
     return spark_build.candidate_threshold(k, lo)
+
+
+def _held_out(rows: np.ndarray, m: int, rate: float) -> np.ndarray:
+    """The rows of :func:`spark_build.optimization_sample` that size the
+    leaves: those after the optimiser's m, or every row when every row was
+    drawn (rate 1)."""
+    return rows if rate == 1.0 else rows[m:]
 
 
 def _tree_from_kd(kdroot: KDNode, leaves: NodeStats) -> Tree:

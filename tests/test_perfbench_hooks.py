@@ -125,21 +125,22 @@ def traced_build(t, kind):
 
 @pytest.mark.parametrize("kind", ["1d", "kd"])
 def test_traced_build_spans_every_layer(build_tracer, kind, monkeypatch):
-    """One traced build makes one span for each Spark phase and for the
-    optimiser, and each of those spans of this build takes time. The leaf
-    aggregates and the sample candidates are one job; the sampling phase runs
-    none unless a leaf comes back short, and then exactly one."""
+    """One traced build makes one span for each Spark phase but the row
+    count, which a build no longer runs, and for the optimiser, and each of
+    those spans of this build takes time. The leaf aggregates and the sample
+    candidates are one job; the sampling phase runs none unless a leaf comes
+    back short, and then exactly one."""
     spans, jobs = traced_build(build_tracer, kind)
     names = [name for name, _ in spans]
     seconds = dict(spans)
-    for phase in tracer.SPARK_PHASES:
+    assert names.count("spark_build.count") == 0 and "count" not in jobs
+    for phase in (p for p in tracer.SPARK_PHASES if p != "count"):
         assert names.count(f"spark_build.{phase}") == 1, phase
         assert seconds[f"spark_build.{phase}"] > 0, phase
     optimiser = "partitioner.adp" if kind == "1d" else "kdtree.grow"
     # ADP makes two spans: the DP in the constructor, then ``cuts``.
     assert names.count(optimiser) == (2 if kind == "1d" else 1)
     assert all(s > 0 for name, s in spans if name == optimiser)
-    assert jobs["count"] >= 1
     assert jobs["optimization_sample"] >= 1
     assert jobs["leaf_aggregates"] >= 1
     assert jobs["stratified_sample"] == 0

@@ -12,7 +12,7 @@ from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from repro import synth_data
-from repro.core import spark_build
+from repro.core import spark_build, synopsis
 from repro.core.kdtree import KDTree
 from repro.core.partitioner import assign_partitions
 from repro.core.query import Query
@@ -141,17 +141,21 @@ def test_uniform_sample_is_random(intel_df):
 
 
 def test_optimization_sample_sorted_and_sized(intel_df, intel_pdf):
-    s = spark_build.optimization_sample(intel_df, "light", ["time"], 300, len(intel_pdf), seed=0)
-    assert len(s) <= 300
-    assert len(s) > 200  # headroom factor should land close to m
-    assert s["time"].is_monotonic_increasing
+    """2m rows come back: the optimiser's m sorted by the predicate, then m
+    held-out rows, drawn at a rate that puts m/rate near the row count."""
+    rows, rate = spark_build.optimization_sample(intel_df, "light", ["time"], 300, seed=0)
+    assert len(rows) == 600 and list(rows.columns) == ["time", "light"]
+    assert rows["time"][:300].is_monotonic_increasing
+    assert 0.6 * len(intel_pdf) < 300 / rate < 1.6 * len(intel_pdf)
 
 
 def test_optimization_sample_full_when_m_exceeds_n(intel_df, intel_pdf):
-    s = spark_build.optimization_sample(
-        intel_df, "light", ["time"], 10**9, len(intel_pdf), seed=0
-    )
-    assert len(s) == len(intel_pdf)
+    """Fewer than 2m rows: every row comes back, the first m sorted, at rate 1."""
+    for m in (len(intel_pdf), 4000):
+        rows, rate = spark_build.optimization_sample(intel_df, "light", ["time"], m, seed=0)
+        assert len(rows) == len(intel_pdf) and rate == 1.0
+        assert rows["time"][:m].is_monotonic_increasing
+        assert sorted(rows["time"]) == sorted(intel_pdf["time"])
 
 
 def test_with_leaf_fn_multidim(nyc_df, nyc_pdf):
@@ -323,7 +327,7 @@ def test_estimated_thresholds_sample_equals_window(request, data, value, cols):
     lids = np.repeat(np.arange(len(n)), n)
     opt = np.random.default_rng(2).choice(lids, size=len(lids) // 20, replace=False)
     big = int(np.argmax(n))
-    t = sample_thresholds(int(n.sum()), opt[opt != big], len(n), sum(k.values()), "equal")
+    t = sample_thresholds(0.05, opt[opt != big], len(n), sum(k.values()), "equal")
     assert t[big] == 1.0 and (t < 1.0).any()
     new = fused_sample(new_leaf, value, cols, k, n, t, seed=5)
     old = window_sample(udf_leaf, value, cols, k, seed=5)
@@ -332,15 +336,15 @@ def test_estimated_thresholds_sample_equals_window(request, data, value, cols):
 
 
 def test_sample_thresholds_bounds():
-    """Leaves without an optimisation-sample row, or with no row at all, get
-    t = 1, and the estimated t_i·N_i exceeds K_i when the leaf size is as
+    """Leaves without a held-out row, or with no row at all, get t = 1, and
+    the estimated t_i·N_i exceeds K_i when the leaf size is as
     estimated."""
     opt = np.repeat([0, 1, 3], [500, 100, 400])  # leaf 2: no row
-    t = sample_thresholds(100_000, opt, 4, 400, "equal")
+    t = sample_thresholds(0.01, opt, 4, 400, "equal")
     assert t[2] == 1.0 and (t[[0, 1, 3]] < 1.0).all()
     k = 133  # 400 over the 3 leaves with rows
     assert (t[[0, 1, 3]] * np.array([50_000, 10_000, 40_000]) > k + 4 * np.sqrt(k) + 10).all()
-    assert (sample_thresholds(0, np.zeros(0, np.int64), 3, 100, "equal") == 1.0).all()
+    assert (sample_thresholds(1.0, np.zeros(0, np.int64), 3, 100, "equal") == 1.0).all()
 
 
 def build_samples_equal_window(syn, udf_leaf, sample_total, alloc, seed):
@@ -458,8 +462,8 @@ def test_null_values_left_out_of_synopsis(spark):
     assert any(np.isnan(sx[:, 1]).any() for sx, _ in syn.samples.values())
     valued = df.where(F.col("v").isNotNull())
     build_samples_equal_window(syn, udf_leaf_fn(valued, ["c"], syn.assign), 400, "equal", 3)
-    for m in (256, n):  # a Bernoulli sample, and every row
-        opt = spark_build.optimization_sample(df, "v", ["c"], m, n, seed=3)
+    for m in (256, n):  # a sample, and every row
+        opt, _ = spark_build.optimization_sample(df, "v", ["c"], m, seed=3)
         assert len(opt) and not opt["v"].isna().any()
     # The whole domain covers the root: AVG is answered from exact aggregates.
     root = syn.answer(Query("avg", ("c",), (-1.0,), (1000.0,)))
@@ -467,3 +471,93 @@ def test_null_values_left_out_of_synopsis(spark):
     # The same through SQL over a range that cuts leaves, via the hard bounds.
     part = syn.answer(Query("avg", ("c",), (100.0,), (300.0,)))
     assert part.lb <= sql_avg <= part.ub
+
+
+def test_null_predicates_give_finite_boundaries_and_root(spark):
+    """A predicate column 30% NULL: the optimisation sample draws only rows
+    with a predicate value, so the ADP boundaries are finite and strictly
+    increasing, and the NULL rows (in the last leaf, whose Spark MIN/MAX
+    skip them) leave the root's extent finite. The rows still count."""
+    g = np.random.default_rng(5)
+    n = 5000
+    c = g.uniform(0.0, 1000.0, n)
+    null = g.random(n) < 0.3
+    v = g.lognormal(0, 1, n)
+    df = double_frame(spark, ["c", "v"], [(None if z else ci, vi) for ci, z, vi in zip(c, null, v)])
+    for m in (256, 8000):
+        syn = PassSynopsis.build_1d(df, "c", "v", k_partitions=16, sample_total=400, m_opt=m, seed=1)
+        b = syn.assign.boundaries
+        assert len(b) == 15 and np.isfinite(b).all() and (np.diff(b) > 0).all(), m
+        assert np.isfinite(syn.root.pred_min).all() and np.isfinite(syn.root.pred_max).all(), m
+        assert syn.n_total == n
+
+
+# -- the optimisation sample: independent of the strata, sizes the leaves --
+
+
+@pytest.fixture(scope="module")
+def nyc_rid_df(spark, nyc_pdf):
+    """The NYC frame with a row id, to follow rows into the samples."""
+    df = spark.createDataFrame(nyc_pdf.assign(rid=np.arange(len(nyc_pdf), dtype=np.float64))).cache()
+    df.count()
+    return df
+
+
+def test_optimiser_rows_independent_of_stratified_sample(nyc_rid_df, monkeypatch):
+    """The rows the optimiser sees overlap the stratified sample about as
+    often as independent draws would, m·ΣK_i/n rows (here at most 3× that),
+    not in every row, as when both came from one ``rand(seed)`` stream."""
+    seen = []
+    draw = spark_build.optimization_sample
+
+    def spy(*args, **kwargs):
+        rows, rate = draw(*args, **kwargs)
+        seen.append(rows)
+        return rows, rate
+
+    monkeypatch.setattr(spark_build, "optimization_sample", spy)
+    m = 512
+    pdf = nyc_rid_df.select("pickup_ts", "trip_distance", "rid").toPandas()
+    for seed in (0, 1, 2):
+        syn = PassSynopsis.build_1d(
+            nyc_rid_df, "pickup_ts", "trip_distance", k_partitions=16, sample_total=800, m_opt=m,
+            sample_cols=["pickup_ts", "rid"], seed=seed,
+        )
+        opt = seen[-1][:m]
+        sampled = np.concatenate([x[:, 1] for x, _ in syn.samples.values()])
+        # The optimiser's rows by (predicate, value): no two rows share both.
+        rid = opt.merge(pdf, on=["pickup_ts", "trip_distance"])["rid"]
+        assert len(rid) == m
+        expected = m * len(sampled) / syn.n_total
+        assert np.isin(rid, sampled).sum() <= 3 * expected, seed
+
+
+@pytest.mark.parametrize("kind", ["1d", "kd"])
+def test_leaf_size_low_estimate_rarely_above_size(nyc_df, monkeypatch, kind):
+    """Over build seeds 0–9, at most 5% of the leaves hold fewer rows than
+    the low size estimate N_lo their threshold was set from."""
+    args = []
+    thresholds = synopsis.sample_thresholds
+
+    def spy(rate, held_leaves, n_leaves, total, alloc):
+        args.append((rate, held_leaves, n_leaves))
+        return thresholds(rate, held_leaves, n_leaves, total, alloc)
+
+    monkeypatch.setattr(synopsis, "sample_thresholds", spy)
+    below = leaves = 0
+    for seed in range(10):
+        if kind == "1d":
+            syn = PassSynopsis.build_1d(
+                nyc_df, "pickup_ts", "trip_distance", k_partitions=16, sample_total=800, m_opt=256, seed=seed
+            )
+        else:
+            syn = PassSynopsis.build_kd(
+                nyc_df, synth_data.NYC_PREDICATES[:3], "trip_distance", k_leaves=32, sample_total=800,
+                m_opt=512, seed=seed,
+            )
+        n_lo, _ = synopsis.leaf_size_bounds(*args[-1])
+        n = np.array([leaf.stats.count for leaf in syn.leaves])
+        below += int((n < n_lo).sum())
+        leaves += len(n)
+    assert below <= 0.05 * leaves
+
